@@ -30,9 +30,13 @@ from .noise import (
     NoiseSpec,
     UnsupportedConfigurationError,
 )
-from .protocol import OutcomeKey, TargetState, alice_basis
-
-_MIN_BRANCH_PROBABILITY = 1e-14
+from .protocol import (
+    ALL_OUTCOME_KEYS,
+    ImpossibleBranchError,
+    OutcomeKey,
+    TargetState,
+    alice_basis,
+)
 
 
 def fidelity(pure: np.ndarray, rho: np.ndarray) -> float:
@@ -79,7 +83,9 @@ class QubitScope(enum.Enum):
         return ALL_QUBITS if self is QubitScope.ALL_SEVEN else TRANSMITTED_QUBITS
 
 
-_ERROR_MARKER = "impossible-branch"
+#: Stands in for the fidelity of a sweep cell whose forced branch has
+#: (numerically) zero probability.
+ERROR_MARKER = "impossible-branch"
 
 
 @dataclass(frozen=True)
@@ -140,20 +146,17 @@ class SweepRow:
         return self.error_exact or self.error_truncated
 
 
-def _averaged_from_state(rho: np.ndarray, target: TargetState) -> float:
-    """Probability-weighted fidelity over the sixteen branches of ``rho``.
+def _averaged(blocks: np.ndarray, target: TargetState) -> np.ndarray:
+    """Probability-weighted fidelity over the sixteen branch blocks of
+    each grid point, sum <xi|B|xi> / sum Tr B.
 
     Weighting renormalizes over the supported keys: under bit-type noise
     some probability leaks into helper patterns that never occur in the
     clean protocol, and those aborted rounds carry no output state.
     """
     xi = target.ket()
-    num = 0.0
-    den = 0.0
-    for key in protocol.ALL_OUTCOME_KEYS:
-        block = noise_mod.branch_reduction(rho, target, key)
-        num += float((xi.conj() @ block @ xi).real)
-        den += float(np.trace(block).real)
+    num = np.einsum("i,...kij,j->...", xi.conj(), blocks, xi).real
+    den = np.trace(blocks, axis1=-2, axis2=-1).real.sum(axis=-1)
     return num / den
 
 
@@ -163,7 +166,8 @@ def averaged_fidelity(
     model: EvolutionModel = EvolutionModel.EXACT,
 ) -> float:
     """Branch-probability-weighted fidelity of the noisy protocol."""
-    return _averaged_from_state(noise_mod.evolved_state(spec, model), target)
+    blocks = noise_mod.branch_blocks(target, spec.kind, [spec.eta], spec.qubits, model)
+    return float(_averaged(blocks[0], target))
 
 
 def branch_fidelity(
@@ -176,22 +180,27 @@ def branch_fidelity(
     return fidelity(target.ket(), noise_mod.noisy_rsp_output(target, key, spec, model))
 
 
-def _cell(
-    rho: np.ndarray, target: TargetState, branch: Optional[OutcomeKey]
-) -> tuple[Optional[float], Optional[str]]:
+def _sweep_cells(
+    blocks: np.ndarray, target: TargetState, branch: Optional[OutcomeKey]
+) -> list[tuple[Optional[float], Optional[str]]]:
+    """(fidelity, error marker) of each grid point's sixteen blocks."""
     if branch is None:
-        return _averaged_from_state(rho, target), None
-    block = noise_mod.branch_reduction(rho, target, branch)
-    p = float(np.trace(block).real)
-    if p < _MIN_BRANCH_PROBABILITY:
-        return None, _ERROR_MARKER
-    xi = target.ket()
-    return float((xi.conj() @ block @ xi).real) / p, None
+        return [(float(f), None) for f in _averaged(blocks, target)]
+    cells = []
+    for block in blocks[:, ALL_OUTCOME_KEYS.index(branch)]:
+        try:
+            state = noise_mod.branch_state(block, branch)
+        except ImpossibleBranchError:
+            cells.append((None, ERROR_MARKER))
+        else:
+            cells.append((fidelity(target.ket(), state), None))
+    return cells
 
 
 def fidelity_sweep(config: SweepConfig) -> tuple[SweepRow, ...]:
     """One SweepRow per (kind, eta), sorted by (kind value, eta).
 
+    Each (kind, model) pair is one engine call over the whole eta grid.
     A branch whose probability vanishes at some grid point produces a row
     carrying an error marker instead of aborting the sweep.  With scope
     restricted to the transmitted qubits the truncated column is
@@ -202,23 +211,22 @@ def fidelity_sweep(config: SweepConfig) -> tuple[SweepRow, ...]:
         config.model.wants_truncated
         and config.qubit_scope is QubitScope.ALL_SEVEN
     )
+    etas = config.etas()
     rows = []
     for kind in config.kinds:
-        for eta in config.etas():
-            spec = NoiseSpec(kind, float(eta), config.qubit_scope.qubits)
-            f_exact = f_trunc = err_exact = err_trunc = None
-            if config.model.wants_exact:
-                f_exact, err_exact = _cell(
-                    noise_mod.evolved_state(spec, EvolutionModel.EXACT),
-                    config.target,
-                    config.branch,
-                )
-            if wants_truncated:
-                f_trunc, err_trunc = _cell(
-                    noise_mod.evolved_state(spec, EvolutionModel.TRUNCATED),
-                    config.target,
-                    config.branch,
-                )
+        columns = []
+        for model, wanted in (
+            (EvolutionModel.EXACT, config.model.wants_exact),
+            (EvolutionModel.TRUNCATED, wants_truncated),
+        ):
+            if not wanted:
+                columns.append([(None, None)] * len(etas))
+                continue
+            blocks = noise_mod.branch_blocks(
+                config.target, kind, etas, config.qubit_scope.qubits, model
+            )
+            columns.append(_sweep_cells(blocks, config.target, config.branch))
+        for eta, (f_exact, err_exact), (f_trunc, err_trunc) in zip(etas, *columns):
             rows.append(
                 SweepRow(
                     kind=kind,
@@ -259,6 +267,8 @@ class AttackParams:
         dim = None
         for name in ("e00", "e01", "e10", "e11"):
             v = np.ascontiguousarray(getattr(self, name), dtype=np.complex128).reshape(-1)
+            if not np.isfinite(v).all():
+                raise ValueError(f"fragment {name} has a non-finite entry")
             v.setflags(write=False)
             object.__setattr__(self, name, v)
             frags[name] = v

@@ -39,6 +39,8 @@ def _alpha_beta(target) -> tuple[complex, complex]:
         a, b = complex(target.alpha), complex(target.beta)
     else:
         a, b = (complex(v) for v in target)
+    if not np.isfinite([a, b]).all():
+        raise ValueError(f"amplitudes must be finite, got alpha={a!r}, beta={b!r}")
     norm = abs(a) ** 2 + abs(b) ** 2
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"|alpha|^2 + |beta|^2 = {norm!r} is not 1")

@@ -13,7 +13,7 @@ import math
 import os
 import re
 import sys
-from typing import Callable, Optional, Sequence, TextIO
+from typing import Callable, Collection, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -40,8 +40,6 @@ CSV_HEADER = (
     "fidelity_exact",
     "fidelity_truncated",
 )
-
-_ERROR_CELL = "impossible-branch"
 
 
 def _fmt(x: float) -> str:
@@ -78,14 +76,14 @@ def write_sweep_csv(out: TextIO, rows: Sequence[SweepRow], target: TargetState) 
 def _cell(value: Optional[float], error: Optional[str]) -> str:
     if value is not None:
         return _fmt(value)
-    return _ERROR_CELL if error else ""
+    return analysis.ERROR_MARKER if error else ""
 
 
 def _parse_cell(text: str) -> tuple[Optional[float], Optional[str]]:
     if text == "":
         return None, None
-    if text == _ERROR_CELL:
-        return None, _ERROR_CELL
+    if text == analysis.ERROR_MARKER:
+        return None, analysis.ERROR_MARKER
     return float(text), None
 
 
@@ -184,19 +182,49 @@ def write_sweep_svg(out: TextIO, rows: Sequence[SweepRow]) -> None:
 # Configuration file + flag merging.
 
 
-def load_config_file(path: str) -> dict[str, str]:
-    """Flat key=value file; keys mirror long flag names; # starts a comment."""
+_MAX_CONFIG_LINE = 4096
+
+
+def load_config_file(path: str, known: Collection[str]) -> dict[str, str]:
+    """Flat key=value file; keys are long flag names from ``known``; # starts
+    a comment."""
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            # bounded reads: a path such as /dev/zero never ends a line
+            lines = iter(lambda: f.readline(_MAX_CONFIG_LINE), "")
+            for lineno, raw in enumerate(lines, 1):
+                if len(raw) == _MAX_CONFIG_LINE and not raw.endswith("\n"):
+                    raise UsageError(
+                        f"{path}:{lineno}: line longer than {_MAX_CONFIG_LINE} characters"
+                    )
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                key, _, value = line.partition("=")
+                key = key.strip()
+                if key not in known:
+                    raise UsageError(
+                        f"{path}:{lineno}: unknown key {key!r}; keys are long flag names"
+                    )
+                values[key] = value.strip()
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{path}: not a UTF-8 text file ({e.reason})") from e
     return values
+
+
+def _long_flag_names(parser: argparse.ArgumentParser) -> set[str]:
+    """Every ``--name`` option of the parser and its subcommands, without --."""
+    names = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                names |= _long_flag_names(sub)
+        elif not isinstance(action, argparse._HelpAction):
+            names.update(s[2:] for s in action.option_strings if s.startswith("--"))
+    return names
 
 
 class _Options:
@@ -235,6 +263,8 @@ def _resolve_target(opts: _Options) -> TargetState:
         raise UsageError("a target requires --alpha and --beta")
     alpha = complex(a_re, opts.get("alpha-im", float, 0.0))
     beta = complex(b_re, opts.get("beta-im", float, 0.0))
+    if not all(math.isfinite(x) for x in (alpha.real, alpha.imag, beta.real, beta.imag)):
+        raise UsageError(f"amplitudes must be finite, got alpha={alpha}, beta={beta}")
     norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
     if abs(norm - 1.0) > _TARGET_NORM_SLACK:
         raise UsageError(
@@ -355,10 +385,11 @@ def _cmd_sweep(opts: _Options, stdout: TextIO) -> int:
     except ValueError as e:
         raise UsageError(str(e)) from e
 
-    rows = analysis.fidelity_sweep(config)
     path = _resolve_output_path(opts, "sweep.csv")
     try:
+        # opened before the grid is computed, so a bad path fails at once
         with open(path, "w", encoding="utf-8", newline="") as f:
+            rows = analysis.fidelity_sweep(config)
             write_sweep_csv(f, rows, target)
     except OSError as e:
         print(f"error: cannot write {path}: {e}", file=sys.stderr)
@@ -668,7 +699,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        file_values = load_config_file(ns.config) if ns.config else {}
+        file_values = (
+            load_config_file(ns.config, _long_flag_names(parser)) if ns.config else {}
+        )
         opts = _Options(ns, file_values)
         return _COMMANDS[ns.command](opts, sys.stdout)
     except UsageError as e:

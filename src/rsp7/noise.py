@@ -10,6 +10,11 @@ amplitude-damping eta^7 term lands on |0...0><0...0| with weight
 eta^7/32; the widely printed eta^7 |1...1><1...1| form does not follow
 from the uniform-index construction, and ``damping_terminal_term`` keeps
 the numerical evidence for that mismatch.
+
+Fidelities are computed by ``branch_blocks`` without building the
+128x128 density matrix.  ``evolved_state``, ``apply_noise``,
+``truncated_channel_state`` and ``branch_reduction`` are the direct
+density-matrix construction the engine is checked against.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +40,8 @@ from .linalg import (
     pure_density,
 )
 from .protocol import (
+    ALL_OUTCOME_KEYS,
+    MIN_BRANCH_PROBABILITY,
     ImpossibleBranchError,
     OutcomeKey,
     TargetState,
@@ -45,8 +53,6 @@ from .protocol import (
 ALL_QUBITS = (1, 2, 3, 4, 5, 6, 7)
 #: The six qubits that leave the source; the sender's own qubit stays put.
 TRANSMITTED_QUBITS = (2, 3, 4, 5, 6, 7)
-
-_MIN_BRANCH_PROBABILITY = 1e-14
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -222,6 +228,159 @@ def branch_reduction(rho: np.ndarray, target: TargetState, key: OutcomeKey) -> n
     return partial_trace(rho, [1, 4, 5, 6, 7])
 
 
+@lru_cache(maxsize=1)
+def _recovery_gates() -> np.ndarray:
+    """Each key's whole recovery sequence as one 4x4 matrix, in
+    ALL_OUTCOME_KEYS order."""
+    gates = np.empty((len(ALL_OUTCOME_KEYS), 4, 4), dtype=np.complex128)
+    for i, key in enumerate(ALL_OUTCOME_KEYS):
+        gate = np.eye(4, dtype=np.complex128)
+        for tok in recovery_sequence(key):
+            gate = gate_matrix(tok) @ gate
+        gates[i] = gate
+    gates.setflags(write=False)
+    return gates
+
+
+#: Register qubits a branch measures: the sender, then C1, D1, C2, D2.
+_MEASURED_QUBITS = (1, 4, 5, 6, 7)
+
+
+def _measured_outcomes(key: OutcomeKey) -> tuple[int, ...]:
+    """Outcome index of ``key`` on each of ``_MEASURED_QUBITS``."""
+    return (
+        key.alice - 1,
+        int(key.charlie[0]),
+        int(key.david[0]),
+        int(key.charlie[1]),
+        int(key.david[1]),
+    )
+
+
+def _pair_channel(ops: np.ndarray, qubit: int, blocks: np.ndarray) -> np.ndarray:
+    """Forward channel on receiver qubit 2 or 3 of (eta, key, 4, 4) blocks."""
+    # E (x) I for qubit 2, I (x) E for qubit 3
+    kron = "ejab,cd->ejacbd" if qubit == 2 else "ejab,cd->ejcadb"
+    lifted = np.einsum(kron, ops, np.eye(2)).reshape(ops.shape[:2] + (1, 4, 4))
+    out = lifted @ blocks[:, None] @ lifted.conj().swapaxes(-1, -2)
+    return out.sum(axis=1)
+
+
+def _exact_pair_blocks(
+    ops: np.ndarray, noisy: tuple[int, ...], senders: np.ndarray, picks: np.ndarray
+) -> np.ndarray:
+    """Receiver-pair blocks before the recovery gates, exact model.
+
+    Tr(N(rho) M) = Tr(rho N^dagger(M)) with N^dagger(P) = sum_j E_j^dagger
+    P E_j, so each measured qubit's projector goes through the dual map;
+    the product of those 2x2 operators is applied to |Psi> one qubit at a
+    time and the result contracted with <Psi|.  The pair keeps its
+    forward channel.  ``ops`` is (eta, Kraus index, 2, 2).
+    """
+    n_eta = len(ops)
+    psi = channel.build_channel().reshape((2,) * 7)
+    # measured qubits first (register order 1, 4, 5, 6, 7), the pair last
+    w = psi.transpose(0, 3, 4, 5, 6, 1, 2).reshape(32, 4)
+    bits = np.array([_bit_projector("0"), _bit_projector("1")])
+    # phi[e, outcomes so far, unprocessed measured qubits + pair + processed ones]
+    phi = w.reshape(1, 1, -1)
+    for q in _MEASURED_QUBITS:
+        proj = np.einsum("si,sj->sij", senders, senders.conj()) if q == 1 else bits
+        if q in noisy:
+            dual = np.einsum("ejyx,syz,ejzw->esxw", ops.conj(), proj, ops)
+        else:
+            dual = np.broadcast_to(proj, (n_eta,) + proj.shape)
+        # act on the leading qubit, then move it behind the pair
+        out = dual.reshape(n_eta, 1, 4, 2) @ phi.reshape(phi.shape[:2] + (2, -1))
+        out = out.reshape(n_eta, -1, 2, out.shape[-1])
+        phi = out.swapaxes(-1, -2).reshape(n_eta, out.shape[1], -1)
+    # <Psi| closes the measured qubits: r[e, outcome string, b, c]
+    r = phi.reshape(n_eta, 32, 4, 32) @ w.conj()
+    blocks = r[:, np.ravel_multi_index(picks, (2,) * 5)]
+    for q in (2, 3):
+        if q in noisy:
+            blocks = _pair_channel(ops, q, blocks)
+    return blocks
+
+
+def _truncated_pair_blocks(
+    ops: np.ndarray, senders: np.ndarray, picks: np.ndarray
+) -> np.ndarray:
+    """Receiver-pair blocks before the recovery gates, truncated model.
+
+    Each uniform-index vector v_j = E_j^(x7) |Psi> is contracted like a
+    pure state; the blocks are divided by sum_j |v_j|^2.
+    """
+    n_eta, n_ops = ops.shape[:2]
+    v = np.broadcast_to(channel.build_channel(), (n_eta, n_ops, 128))
+    for q in range(7):
+        t = v.reshape(n_eta, n_ops, 2 ** q, 2, 2 ** (6 - q))
+        v = np.einsum("ejxy,ejlyr->ejlxr", ops, t).reshape(n_eta, n_ops, 128)
+    weight = np.einsum("ejx,ejx->e", v, v.conj()).real
+    v = v.reshape((n_eta, n_ops) + (2,) * 7)
+    # register order A, B1, B2, C1, D1, C2, D2; one helper pattern per key
+    sub = v[:, :, :, :, :, picks[1], picks[2], picks[3], picks[4]]
+    amp = np.einsum("ka,ejabck->ejkbc", senders.conj()[picks[0]], sub)
+    amp = amp.reshape(n_eta, n_ops, -1, 4)
+    pair = np.einsum("ejkb,ejkc->ekbc", amp, amp.conj())
+    return pair / weight[:, None, None, None]
+
+
+def branch_blocks(
+    target: TargetState,
+    kind: NoiseKind,
+    etas: Sequence[float],
+    qubits: Sequence[int] = ALL_QUBITS,
+    model: EvolutionModel = EvolutionModel.EXACT,
+) -> np.ndarray:
+    """Unnormalized receiver-pair blocks of all sixteen branches on an eta grid.
+
+    ``out[i, k]`` equals ``branch_reduction(evolved_state(NoiseSpec(kind,
+    etas[i], qubits), model), target, ALL_OUTCOME_KEYS[k])``, computed
+    without the 128x128 density matrix: the exact model works in the
+    Heisenberg picture (dual Kraus maps on the measured qubits), the
+    truncated model sums over its at most four uniform-index vectors.
+    Shape (len(etas), 16, 4, 4).
+    """
+    specs = [NoiseSpec(kind, eta, qubits) for eta in etas]
+    if not specs:
+        raise ValueError("etas must hold at least one value")
+    ops = np.array([kraus_operators(kind, spec.eta).operators for spec in specs])
+    basis = alice_basis(target)
+    senders = np.array([basis.u1, basis.u2])
+    picks = np.array([_measured_outcomes(key) for key in ALL_OUTCOME_KEYS]).T
+    if model is EvolutionModel.EXACT:
+        pair = _exact_pair_blocks(ops, specs[0].qubits, senders, picks)
+    elif model is EvolutionModel.TRUNCATED:
+        if not specs[0].all_seven:
+            raise UnsupportedConfigurationError(
+                "the truncated model requires noise on all seven qubits"
+            )
+        pair = _truncated_pair_blocks(ops, senders, picks)
+    else:
+        raise TypeError(f"unknown evolution model {model!r}")
+    gates = _recovery_gates()
+    out = gates @ pair @ gates.conj().transpose(0, 2, 1)
+    out.setflags(write=False)
+    return out
+
+
+def branch_state(block: np.ndarray, key: OutcomeKey) -> np.ndarray:
+    """Normalized receiver-pair state of one branch block.
+
+    Raises ImpossibleBranchError when the block's weight is below
+    MIN_BRANCH_PROBABILITY.
+    """
+    p = float(np.trace(block).real)
+    if p < MIN_BRANCH_PROBABILITY:
+        raise ImpossibleBranchError(
+            f"branch {key.label()} has probability {p:.3e} under this noise", p
+        )
+    out = block / p
+    out.setflags(write=False)
+    return out
+
+
 def noisy_rsp_output(
     target: TargetState,
     key: OutcomeKey,
@@ -229,19 +388,8 @@ def noisy_rsp_output(
     model: EvolutionModel = EvolutionModel.EXACT,
 ) -> np.ndarray:
     """Receiver-pair density matrix after the full noisy protocol branch."""
-    if model is EvolutionModel.TRUNCATED and not spec.all_seven:
-        raise UnsupportedConfigurationError(
-            "the truncated model requires noise on all seven qubits"
-        )
-    block = branch_reduction(evolved_state(spec, model), target, key)
-    p = float(np.trace(block).real)
-    if p < _MIN_BRANCH_PROBABILITY:
-        raise ImpossibleBranchError(
-            f"branch {key.label()} has probability {p:.3e} under this noise", p
-        )
-    out = block / p
-    out.setflags(write=False)
-    return out
+    blocks = branch_blocks(target, spec.kind, [spec.eta], spec.qubits, model)
+    return branch_state(blocks[0, ALL_OUTCOME_KEYS.index(key)], key)
 
 
 @dataclass(frozen=True)
@@ -344,10 +492,7 @@ def trajectory_estimate(
     ops = kraus_operators(spec.kind, spec.eta).operators
     basis = alice_basis(target)
     u = (basis.u1 if key.alice == 1 else basis.u2).conj()
-    gate = np.eye(4, dtype=np.complex128)
-    for tok in recovery_sequence(key):
-        gate = gate_matrix(tok) @ gate
-    g = gate.conj().T @ target.ket()  # <xi| G w = vdot(g, w)
+    g = _recovery_gates()[ALL_OUTCOME_KEYS.index(key)].conj().T @ target.ket()  # <xi| G w = vdot(g, w)
     c1, c2 = int(key.charlie[0]), int(key.charlie[1])
     d1, d2 = int(key.david[0]), int(key.david[1])
     psi0 = channel.build_channel()

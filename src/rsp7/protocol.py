@@ -30,7 +30,8 @@ from . import channel
 from .linalg import CX, H, I2, X, Z, apply_to_qubits, ket, n_qubits, tensor
 
 _ORTHO_TOL = 1e-12
-_MIN_BRANCH_PROBABILITY = 1e-14
+#: A branch whose probability falls below this floor counts as impossible.
+MIN_BRANCH_PROBABILITY = 1e-14
 
 
 class ImpossibleBranchError(RuntimeError):
@@ -63,6 +64,8 @@ class TargetState:
         a, b = complex(self.alpha), complex(self.beta)
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
+        if not np.isfinite([a, b]).all():
+            raise ValueError(f"amplitudes must be finite, got alpha={a!r}, beta={b!r}")
         norm = abs(a) ** 2 + abs(b) ** 2
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"|alpha|^2 + |beta|^2 = {norm!r} is not 1 within 1e-10")
@@ -445,7 +448,7 @@ def measure_projective(
             raise ValueError(f"forced outcome {forced} out of range")
         outcome = int(forced)
         p = float(probs[outcome])
-        if p < _MIN_BRANCH_PROBABILITY:
+        if p < MIN_BRANCH_PROBABILITY:
             raise ImpossibleBranchError(
                 f"forced outcome {forced} has probability {p:.3e}", p
             )

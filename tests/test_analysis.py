@@ -236,6 +236,14 @@ def test_attack_params_constraint_violations_are_named():
                      e10=np.array([0.0]), e11=np.array([1.0]))
 
 
+def test_attack_params_reject_non_finite_fragments():
+    # a nan makes every constraint comparison False, so it must be caught first
+    e0 = np.array([1.0, 0.0])
+    zero = np.zeros(2)
+    with pytest.raises(ValueError, match="e01 has a non-finite entry"):
+        AttackParams(e00=e0, e01=np.array([np.nan, 0.0]), e10=zero, e11=e0)
+
+
 # --------------------------------------------------------------------------
 # Outside attack.
 

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from rsp7 import channel
@@ -73,6 +74,13 @@ def test_sender_basis_vectors():
     u1, u2 = channel.sender_basis_vectors(t)
     assert_allclose(u1, [0.6, 0.8], atol=1e-15)
     assert_allclose(u2, [-0.8, 0.6], atol=1e-15)
+
+
+def test_plain_amplitude_pairs_must_be_finite():
+    with pytest.raises(ValueError, match="finite"):
+        channel.sender_basis_vectors((math.nan, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        channel.factor_states((0.6, complex(0.8, math.inf)))
 
 
 def test_factorization_residual_real_targets(rng):

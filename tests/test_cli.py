@@ -59,6 +59,15 @@ def test_run_usage_errors(capsys):
     assert code == 2
 
 
+def test_run_non_finite_amplitudes(capsys):
+    for args in (["--alpha", "nan", "--beta", "0"],
+                 ["--alpha", "0.6", "--beta", "0.8", "--beta-im", "inf"]):
+        code, out, err = run_cli(["run", *args, "--seed", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "finite" in err
+
+
 def test_run_impossible_forced_branch(capsys):
     code, _, err = run_cli(["run", "--alpha", "1", "--beta", "0",
                             "--force-outcome", "U1,00,01"], capsys)
@@ -131,9 +140,13 @@ def test_sweep_branch_with_error_marker(tmp_path, capsys):
     assert buf.getvalue() == out_csv.read_text()
 
 
-def test_sweep_unwritable_path(capsys):
+def test_sweep_unwritable_path(tmp_path, capsys, monkeypatch):
+    def no_grid(config):
+        raise AssertionError("the grid was computed before the path was checked")
+
+    monkeypatch.setattr(cli.analysis, "fidelity_sweep", no_grid)
     code, _, err = run_cli(["sweep", "--alpha", "1", "--beta", "0",
-                            "--out", "/nonexistent-dir/x.csv"], capsys)
+                            "--out", str(tmp_path / "missing-dir" / "x.csv")], capsys)
     assert code == 4
     assert "cannot write" in err
 
@@ -193,6 +206,35 @@ def test_config_file_malformed(tmp_path, capsys):
                            capsys)
     assert code == 2
     assert "key=value" in err
+
+
+def test_config_file_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("alpha=0.6\nbeta=0.8\nstpes=5\n")
+    code, _, err = run_cli(["run", "--config", str(cfg), "--seed", "1"], capsys)
+    assert code == 2
+    assert "'stpes'" in err
+    # a key naming another command's flag is accepted
+    cfg.write_text("alpha=0.6\nbeta=0.8\nsteps=5\n")
+    code, _, _ = run_cli(["run", "--config", str(cfg), "--seed", "1"], capsys)
+    assert code == 0
+
+
+def test_config_file_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"alpha=0.6\n# caf\xe9\nbeta=0.8\n")
+    code, _, err = run_cli(["run", "--config", str(cfg), "--seed", "1"], capsys)
+    assert code == 2
+    assert "UTF-8" in err
+
+
+def test_config_file_overlong_line(tmp_path, capsys):
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("alpha=0.6\n" + "#" * 5000 + "\nbeta=0.8\n")
+    code, _, err = run_cli(["run", "--config", str(cfg), "--seed", "1"], capsys)
+    assert code == 2
+    assert "long.cfg:2: line longer than" in err
+    assert len(err) < 500
 
 
 def test_config_file_missing(tmp_path, capsys):

@@ -1,0 +1,70 @@
+"""Property tests of the branch-block engine against the density-matrix path."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rsp7.analysis import averaged_fidelity
+from rsp7.noise import (
+    ALL_QUBITS,
+    EvolutionModel,
+    NoiseKind,
+    NoiseSpec,
+    branch_blocks,
+    branch_reduction,
+    evolved_state,
+)
+from rsp7.protocol import ALL_OUTCOME_KEYS, TargetState
+
+targets = st.integers(0, 2**32 - 1).map(
+    lambda seed: TargetState.random(np.random.default_rng(seed))
+)
+etas = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+kinds = st.sampled_from(list(NoiseKind))
+subsets = st.sets(st.integers(1, 7), min_size=1).map(lambda s: tuple(sorted(s)))
+
+
+@st.composite
+def noise_settings(draw):
+    """(qubits, model); the truncated model exists only on all seven qubits."""
+    model = draw(st.sampled_from(list(EvolutionModel)))
+    if model is EvolutionModel.TRUNCATED:
+        return ALL_QUBITS, model
+    return draw(subsets), model
+
+
+@settings(max_examples=25, deadline=None)
+@given(targets, kinds, st.lists(etas, min_size=1, max_size=3), noise_settings())
+def test_blocks_match_density_path(target, kind, grid, setting):
+    qubits, model = setting
+    blocks = branch_blocks(target, kind, grid, qubits, model)
+    assert blocks.shape == (len(grid), 16, 4, 4)
+    for i, eta in enumerate(grid):
+        rho = evolved_state(NoiseSpec(kind, eta, qubits), model)
+        for k, key in enumerate(ALL_OUTCOME_KEYS):
+            want = branch_reduction(rho, target, key)
+            assert np.max(np.abs(blocks[i, k] - want)) <= 1e-12, (eta, key.label())
+
+
+@settings(max_examples=40, deadline=None)
+@given(targets, kinds, noise_settings())
+def test_noiseless_fidelity_is_one(target, kind, setting):
+    qubits, model = setting
+    spec = NoiseSpec(kind, 0.0, qubits)
+    assert abs(averaged_fidelity(target, spec, model) - 1.0) <= 1e-12
+    xi = target.ket()
+    for block in branch_blocks(target, kind, [0.0], qubits, model)[0]:
+        f = (xi.conj() @ block @ xi).real / np.trace(block).real
+        assert abs(f - 1.0) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(targets, st.sampled_from([NoiseKind.PHASE_FLIP, NoiseKind.PHASE_DAMPING]),
+       st.lists(etas, min_size=1, max_size=3), subsets)
+def test_dephasing_keeps_all_weight_on_the_sixteen_branches(target, kind, grid, qubits):
+    # dephasing commutes with the helpers' computational-basis measurement,
+    # so no weight leaks into helper patterns outside the sixteen keys
+    blocks = branch_blocks(target, kind, grid, qubits, EvolutionModel.EXACT)
+    weights = np.trace(blocks, axis1=-2, axis2=-1).real.sum(axis=1)
+    assert np.max(np.abs(weights - 1.0)) <= 1e-12
+

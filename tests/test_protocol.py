@@ -36,6 +36,13 @@ def test_target_state_validation():
         TargetState(0.6, 0.9)
 
 
+def test_target_state_rejects_non_finite_amplitudes():
+    # nan slips through a plain |norm - 1| > tol comparison
+    for alpha, beta in ((math.nan, 0.0), (complex(0.6, math.inf), 0.8)):
+        with pytest.raises(ValueError, match="finite"):
+            TargetState(alpha, beta)
+
+
 def test_target_ket_layout():
     t = TargetState(0.6, 0.8)
     assert_allclose(t.ket(), [0.6, 0.0, 0.0, 0.8], atol=1e-15)
