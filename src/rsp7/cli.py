@@ -46,6 +46,12 @@ def _fmt(x: float) -> str:
     return f"{x:.12f}"
 
 
+def _fmt_amplitude(z: complex) -> str:
+    # a part that rounds to zero reads +0.000000000000: its sign is rounding noise
+    parts = (f"{x:+.12f}" for x in (z.real, z.imag))
+    return "".join("+0.000000000000" if p == "-0.000000000000" else p for p in parts) + "j"
+
+
 class UsageError(Exception):
     pass
 
@@ -326,9 +332,7 @@ def _cmd_run(opts: _Options, stdout: TextIO) -> int:
     except ImpossibleBranchError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IMPOSSIBLE_BRANCH
-    amps = " ".join(
-        f"{a.real + 0.0:+.12f}{a.imag + 0.0:+.12f}j" for a in transcript.bob_state
-    )
+    amps = " ".join(_fmt_amplitude(a) for a in transcript.bob_state)
     print(f"outcome: {transcript.outcome.label()}", file=stdout)
     print(f"probability: {_fmt(transcript.branch_probability)}", file=stdout)
     print(f"gates: {' '.join(transcript.gates)}", file=stdout)

@@ -214,14 +214,6 @@ def check_density(rho: np.ndarray) -> DensityReport:
     return DensityReport(herm, trace, min_eig)
 
 
-def unitarity_residual(op: np.ndarray) -> float:
-    op = np.asarray(op, dtype=np.complex128)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError("unitarity_residual expects a square matrix")
-    eye = np.eye(op.shape[0])
-    return float(np.max(np.abs(op.conj().T @ op - eye)))
-
-
 # Single-qubit constants and the two-qubit controlled-not (control first).
 I2 = _frozen(np.eye(2, dtype=np.complex128))
 X = _frozen(np.array([[0, 1], [1, 0]], dtype=np.complex128))

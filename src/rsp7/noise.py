@@ -14,7 +14,9 @@ the numerical evidence for that mismatch.
 Fidelities are computed by ``branch_blocks`` without building the
 128x128 density matrix.  ``evolved_state``, ``apply_noise``,
 ``truncated_channel_state`` and ``branch_reduction`` are the direct
-density-matrix construction the engine is checked against.
+density-matrix construction the engine is checked against.  The
+Monte-Carlo cross-check ``trajectory_estimate`` reads its trajectories
+from tables of Kraus-string amplitudes and Born weights.
 """
 
 from __future__ import annotations
@@ -447,28 +449,40 @@ class TrajectoryEstimate:
     n_samples: int
 
 
-def _kraus_step(
-    states: np.ndarray, ops: Sequence[np.ndarray], qubit: int, rng: np.random.Generator
-) -> np.ndarray:
-    """One Born-weighted Kraus choice per sample on one qubit, batched."""
-    m, dim = states.shape
-    left = 2 ** (qubit - 1)
-    right = dim // (2 * left)
-    t = states.reshape(m, left, 2, right)
-    applied = [np.einsum("ab,mibj->miaj", op, t) for op in ops]
-    probs = np.stack(
-        [np.einsum("miaj,miaj->m", a, a.conj()).real for a in applied], axis=1
-    )
-    cum = np.cumsum(probs, axis=1)
-    r = rng.random(m) * cum[:, -1]
-    choice = (r[:, None] >= cum).sum(axis=1)
-    choice = np.minimum(choice, len(ops) - 1)
-    out = np.empty_like(t)
-    for k in range(len(ops)):
-        mask = choice == k
-        if mask.any():
-            out[mask] = applied[k][mask] / np.sqrt(probs[mask, k])[:, None, None, None]
-    return out.reshape(m, dim)
+def _string_tables(
+    target: TargetState, key: OutcomeKey, spec: NoiseSpec
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Branch amplitudes and prefix Born weights of every Kraus string.
+
+    A string s holds one Kraus index per noisy qubit, lowest qubit most
+    significant.  ``amp[s]``, the receiver-pair amplitude of branch ``key``
+    in E_s|Psi> before the recovery gates, contracts |Psi> in register
+    order with <u|E_k or <bit|E_k on the measured qubits and E_k on the
+    pair.  ``weights[j][s']`` = |E_s' Psi|^2 for the prefixes s' over the
+    first j + 1 noisy qubits contracts |Psi><Psi| with E_k^dagger E_k.
+    """
+    ops = np.array(kraus_operators(spec.kind, spec.eta).operators)
+    basis = alice_basis(target)
+    senders = np.array([basis.u1, basis.u2]).conj()
+    # <u_a| on the sender and <bit| on each helper, as (1, 2) rows
+    bras = {q: (senders if q == 1 else np.eye(2))[[o]]
+            for q, o in zip(_MEASURED_QUBITS, _measured_outcomes(key))}
+    psi = channel.build_channel()
+    amp = psi.reshape(1, 1, 128)  # (string, pair qubits so far, unprocessed qubits)
+    rho = np.outer(psi, psi.conj()).reshape(1, 128, 128)  # (string, rows, columns)
+    weights = []
+    for q in ALL_QUBITS:
+        kraus = ops if q in spec.qubits else np.eye(2)[None]
+        mats = bras[q] @ kraus if q in bras else kraus
+        n_str, n_pair, rest = amp.shape
+        t = amp.reshape(n_str, n_pair, 2, rest // 2)
+        amp = np.einsum("kyx,spxr->skpyr", mats, t).reshape(-1, n_pair * len(mats[0]), rest // 2)
+        dim = rho.shape[1] // 2
+        rho = np.einsum("kzy,syazb->skab", kraus.conj().transpose(0, 2, 1) @ kraus,
+                        rho.reshape(n_str, 2, dim, 2, dim)).reshape(-1, dim, dim)
+        if q in spec.qubits:
+            weights.append(np.einsum("saa->s", rho).real)
+    return amp.reshape(-1, 4), weights
 
 
 def trajectory_estimate(
@@ -480,52 +494,51 @@ def trajectory_estimate(
 ) -> TrajectoryEstimate:
     """Stochastic-unraveling estimate of the exact branch fidelity.
 
-    Each trajectory samples one Kraus index per noisy qubit with Born
-    weights, then contracts the resulting pure state against the branch
-    projectors.  The fidelity is the ratio of the accumulated recovered
-    overlap to the accumulated branch weight, with a delta-method
-    standard error; it converges to the EXACT-model branch fidelity.
+    Each trajectory draws one Kraus index per noisy qubit, in ascending
+    order, with Born weights conditioned on the indices already drawn
+    (Dalibard, Castin & Moelmer, PRL 68, 580 (1992)), and is read from
+    ``_string_tables``.  The draws keep the stream of a per-sample state
+    walk, one generator per ``_CHUNK`` samples and one uniform per sample
+    and noisy qubit, so seeded estimates keep their values.  The fidelity
+    is the ratio of the accumulated recovered overlap to the accumulated
+    branch weight.  Its delta-method standard error takes the exact
+    moments of the string tables, not the sample's: a string too rare to
+    be drawn can carry most of the variance, and the sample moments then
+    understate the error tenfold.  Raises ImpossibleBranchError when the
+    draws carry no branch weight.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    ops = kraus_operators(spec.kind, spec.eta).operators
-    basis = alice_basis(target)
-    u = (basis.u1 if key.alice == 1 else basis.u2).conj()
+    amp, weights = _string_tables(target, key, spec)
+    n_ops, p_s = len(weights[0]), weights[-1]
     g = _recovery_gates()[ALL_OUTCOME_KEYS.index(key)].conj().T @ target.ket()  # <xi| G w = vdot(g, w)
-    c1, c2 = int(key.charlie[0]), int(key.charlie[1])
-    d1, d2 = int(key.david[0]), int(key.david[1])
-    psi0 = channel.build_channel()
+    # per string s: p_s x_s, the recovered overlap, and p_s y_s, the branch weight
+    px = np.abs(amp @ g.conj()) ** 2
+    py = np.einsum("si,si->s", amp, amp.conj()).real
 
     n_chunks = (n_samples + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
-    sx = sy = sxx = sxy = syy = 0.0
-    done = 0
+    sx = sy = 0.0
     for i in range(n_chunks):
-        m = min(_CHUNK, n_samples - done)
+        m = min(_CHUNK, n_samples - i * _CHUNK)
         rng = np.random.default_rng(children[i])
-        states = np.tile(psi0, (m, 1))
-        for q in spec.qubits:
-            states = _kraus_step(states, ops, q, rng)
-        t = states.reshape(m, 2, 2, 2, 2, 2, 2, 2)
-        sub = t[:, :, :, :, c1, d1, c2, d2]  # A, B1, B2 remain
-        w = np.einsum("a,mabc->mbc", u, sub).reshape(m, 4)
-        y = np.einsum("mi,mi->m", w, w.conj()).real
-        x = np.abs(w @ g.conj()) ** 2
-        sx += float(x.sum())
-        sy += float(y.sum())
-        sxx += float((x * x).sum())
-        sxy += float((x * y).sum())
-        syy += float((y * y).sum())
-        done += m
+        s = np.zeros(m, dtype=np.intp)
+        for w in weights:
+            c = np.cumsum(w.reshape(-1, n_ops)[s], axis=1)  # next index given the prefix
+            r = rng.random(m) * c[:, -1]
+            choice = np.minimum((r[:, None] >= c).sum(axis=1), n_ops - 1)
+            s = s * n_ops + choice
+        sx += float((px[s] / p_s[s]).sum())
+        sy += float((py[s] / p_s[s]).sum())
 
     n = float(n_samples)
-    ratio = sx / sy
-    if n_samples < 2:
-        return TrajectoryEstimate(float(ratio), 0.0, n_samples)
-    mx, my = sx / n, sy / n
-    cxx = max((sxx - n * mx * mx) / (n - 1.0), 0.0)
-    cyy = max((syy - n * my * my) / (n - 1.0), 0.0)
-    cxy = (sxy - n * mx * my) / (n - 1.0)
-    var = (cxx - 2.0 * ratio * cxy + ratio * ratio * cyy) / (n * my * my)
-    return TrajectoryEstimate(float(ratio), float(math.sqrt(max(var, 0.0))), n_samples)
+    if sy / n < MIN_BRANCH_PROBABILITY:
+        p = sy / n
+        raise ImpossibleBranchError(f"branch {key.label()} has sampled probability {p:.3e}", p)
+    # delta-method variance of the ratio from the exact moments over strings;
+    # z_s = x_s - F y_s is bounded by 1 in size
+    live = p_s > 0
+    z = np.clip((px[live] - px.sum() / py.sum() * py[live]) / p_s[live], -1.0, 1.0)
+    var = float(np.sum(p_s[live] * z * z)) / (n * float(py.sum()) ** 2)
+    return TrajectoryEstimate(float(sx / sy), math.sqrt(var), n_samples)

@@ -4,7 +4,8 @@ Protocol flow: the sender (qubit A) measures in a target-dependent
 two-state basis; the four helpers (C1, C2, D1, D2) measure in the
 computational basis; broadcasting those outcomes lets the receiver turn
 the collapsed state of the pair (B1, B2) into the target with a short
-sequence of local gates.
+sequence of local gates.  ``run_rsp`` reads each round from the
+target's table of branch amplitudes instead of collapsing the register.
 
 The published gate table for that last step contains defects: two rows
 carry a helper-outcome label that never occurs, and one row's gate list
@@ -27,7 +28,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import channel
-from .linalg import CX, H, I2, X, Z, apply_to_qubits, ket, n_qubits, tensor
+from .linalg import CX, H, I2, X, Z, ket, n_qubits, tensor
+from .linalg import apply_to_qubits  # noqa: F401  bench/tracing.py wraps protocol.apply_to_qubits
 
 _ORTHO_TOL = 1e-12
 #: A branch whose probability falls below this floor counts as impossible.
@@ -398,9 +400,9 @@ def table_report() -> TableReport:
 
 def recovery_sequence(key: OutcomeKey) -> tuple[str, ...]:
     """Gate tokens the receiver applies for the given measurement outcome."""
-    try:
-        return recovery_table()[key].gates
-    except KeyError:
+    try:  # the audited rules follow ALL_OUTCOME_KEYS order
+        return _build_table().rules[ALL_OUTCOME_KEYS.index(key)].gates
+    except ValueError:
         raise UnknownOutcomeError(f"no recovery rule for outcome {key!r}") from None
 
 
@@ -479,28 +481,6 @@ class ProtocolTranscript:
     fidelity: float
 
 
-@lru_cache(maxsize=1)
-def _computational16() -> tuple[np.ndarray, ...]:
-    eye = np.eye(16, dtype=np.complex128)
-    return tuple(eye[i] for i in range(16))
-
-
-def _extract_pair(state: np.ndarray, u: np.ndarray, charlie: str, david: str) -> np.ndarray:
-    """Receiver-pair amplitudes of a post-measurement product state."""
-    psi = state.reshape((2,) * 7)
-    c1, c2 = int(charlie[0]), int(charlie[1])
-    d1, d2 = int(david[0]), int(david[1])
-    # register order: A, B1, B2, C1, D1, C2, D2
-    sub = psi[:, :, :, c1, d1, c2, d2]
-    vec = np.einsum("a,abc->bc", u.conj(), sub).reshape(-1)
-    nrm = np.linalg.norm(vec)
-    if nrm < 1e-12:
-        raise ImpossibleBranchError("empty receiver branch", float(nrm) ** 2)
-    out = vec / nrm
-    out.setflags(write=False)
-    return out
-
-
 def run_rsp(
     target: TargetState,
     *,
@@ -509,37 +489,44 @@ def run_rsp(
 ) -> ProtocolTranscript:
     """One full noiseless protocol round.
 
-    Branches are either sampled (``seed``) or forced (``forced_key``).
+    Branches are either sampled (``seed``) or forced (``forced_key``).  A
+    seed draws the sender outcome, then the helper pattern, with the two
+    ``rng.choice`` calls of two successive ``measure_projective`` calls.
     """
     if (seed is None) == (forced_key is None):
         raise ValueError("provide exactly one of seed= or forced_key=")
-    psi = channel.build_channel()
     basis = alice_basis(target)
-    rng = np.random.default_rng(seed) if seed is not None else None
+    # register order A, B1, B2, C1, D1, C2, D2 -> A, C1, C2, D1, D2, B1, B2
+    psi = channel.build_channel().reshape((2,) * 7).transpose(0, 3, 5, 4, 6, 1, 2)
+    amp = (np.array([basis.u1, basis.u2]).conj() @ psi.reshape(2, 64)).reshape(2, 16, 4)
+    weights = np.einsum("apb,apb->ap", amp, amp.conj()).real
+    p_sender = weights.sum(axis=1)
 
     if forced_key is not None:
-        a_forced: Optional[int] = forced_key.alice - 1
-        cd_forced: Optional[int] = int(
-            forced_key.charlie + forced_key.david, 2
-        )
+        a_idx = forced_key.alice - 1
+        cd_idx = int(forced_key.charlie + forced_key.david, 2)
+        p_a = float(p_sender[a_idx])
+        p_cd = float(weights[a_idx, cd_idx] / p_a)
+        for outcome, p in ((a_idx, p_a), (cd_idx, p_cd)):
+            if p < MIN_BRANCH_PROBABILITY:
+                raise ImpossibleBranchError(f"forced outcome {outcome} has probability {p:.3e}", p)
     else:
-        a_forced = cd_forced = None
-
-    a_idx, p_a, psi = measure_projective(
-        psi, [1], [basis.u1, basis.u2], forced=a_forced, rng=rng
-    )
-    # Measuring (C1, C2, D1, D2) in that qubit order makes the outcome
-    # index read as the four bits c1 c2 d1 d2.
-    cd_idx, p_cd, psi = measure_projective(
-        psi, [4, 6, 5, 7], _computational16(), forced=cd_forced, rng=rng
-    )
+        rng = np.random.default_rng(seed)
+        a_idx = int(rng.choice(2, p=p_sender / p_sender.sum()))
+        p_a = float(p_sender[a_idx])
+        helper = weights[a_idx] / p_a
+        cd_idx = int(rng.choice(16, p=helper / helper.sum()))
+        p_cd = float(helper[cd_idx])
+    # the helper index reads as the four bits c1 c2 d1 d2
     bits = format(cd_idx, "04b")
     key = OutcomeKey(a_idx + 1, bits[:2], bits[2:])
     gates = recovery_sequence(key)
-    for tok in gates:
-        psi = apply_to_qubits(gate_matrix(tok), [2, 3], psi)
-    u = basis.u1 if key.alice == 1 else basis.u2
-    bob = _extract_pair(psi, u, key.charlie, key.david)
+    vec = _apply_sequence(gates, amp[a_idx, cd_idx])
+    nrm = np.linalg.norm(vec)
+    if nrm < 1e-12:
+        raise ImpossibleBranchError("empty receiver branch", float(nrm) ** 2)
+    bob = vec / nrm
+    bob.setflags(write=False)
     fid = float(abs(np.vdot(target.ket(), bob)) ** 2)
     return ProtocolTranscript(
         target=target,

@@ -31,6 +31,15 @@ def test_run_forced_outcome_gate_line(capsys):
     assert "outcome: U1,00,00" in out
 
 
+def test_run_zero_amplitude_prints_without_sign():
+    # a component that rounds to zero carries no sign, whatever its rounding noise
+    zero = "+0.000000000000"
+    assert cli._fmt_amplitude(complex(-1e-17, 0.0)) == f"{zero}{zero}j"
+    assert cli._fmt_amplitude(complex(-0.0, -0.0)) == f"{zero}{zero}j"
+    assert cli._fmt_amplitude(complex(0.6, -3e-18)) == f"+0.600000000000{zero}j"
+    assert cli._fmt_amplitude(complex(-0.8, 0.0)) == f"-0.800000000000{zero}j"
+
+
 def test_run_seed_repeatability(capsys):
     a = run_cli(["run", "--alpha", "0.6", "--beta", "0.8", "--seed", "7"],
                 capsys)

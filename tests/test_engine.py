@@ -1,20 +1,23 @@
-"""Property tests of the branch-block engine against the density-matrix path."""
+"""Property tests of the branch-block engine against the density-matrix path
+and the Kraus-string tables."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsp7.analysis import averaged_fidelity
+from rsp7.analysis import averaged_fidelity, branch_fidelity
 from rsp7.noise import (
     ALL_QUBITS,
     EvolutionModel,
     NoiseKind,
     NoiseSpec,
+    _recovery_gates,
+    _string_tables,
     branch_blocks,
     branch_reduction,
     evolved_state,
 )
-from rsp7.protocol import ALL_OUTCOME_KEYS, TargetState
+from rsp7.protocol import ALL_OUTCOME_KEYS, ImpossibleBranchError, TargetState
 
 targets = st.integers(0, 2**32 - 1).map(
     lambda seed: TargetState.random(np.random.default_rng(seed))
@@ -68,3 +71,25 @@ def test_dephasing_keeps_all_weight_on_the_sixteen_branches(target, kind, grid, 
     weights = np.trace(blocks, axis1=-2, axis2=-1).real.sum(axis=1)
     assert np.max(np.abs(weights - 1.0)) <= 1e-12
 
+
+@settings(max_examples=30, deadline=None)
+@given(targets, st.sampled_from(range(16)), kinds, etas, subsets)
+def test_kraus_strings_give_the_exact_branch_fidelity(target, k, kind, eta, qubits):
+    # a third exact oracle: sum_s |<xi|G E_s Psi>|^2 / sum_s |G E_s Psi|^2
+    # over the branch amplitudes of every Kraus string s
+    spec = NoiseSpec(kind, eta, qubits)
+    key = ALL_OUTCOME_KEYS[k]
+    amp, weights = _string_tables(target, key, spec)
+    assert abs(weights[-1].sum() - 1.0) <= 1e-12
+    # chain rule: a prefix weighs what its one-index extensions weigh together
+    n_ops = len(weights[0])
+    for shorter, longer in zip(weights, weights[1:]):
+        assert np.max(np.abs(longer.reshape(-1, n_ops).sum(axis=1) - shorter)) <= 1e-12
+    try:
+        want = branch_fidelity(target, key, spec, EvolutionModel.EXACT)
+    except ImpossibleBranchError:
+        return
+    recovered = amp @ _recovery_gates()[k].T @ target.ket().conj()
+    x = np.sum(np.abs(recovered) ** 2)
+    y = np.sum(np.abs(amp) ** 2)
+    assert abs(x / y - want) <= 1e-12

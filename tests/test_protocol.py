@@ -1,10 +1,13 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from rsp7 import channel
+from rsp7.linalg import apply_to_qubits
 from rsp7.protocol import (
     ALL_OUTCOME_KEYS,
     ImpossibleBranchError,
@@ -214,6 +217,53 @@ def test_enumerate_branches_all_succeed(rng):
             assert_allclose(b.fidelity, 1.0, atol=1e-12)
             assert_allclose(np.abs(np.vdot(t.ket(), b.bob_state)) ** 2, 1.0,
                             atol=1e-12)
+
+
+def _reference_round(target, *, seed=None, forced_key=None):
+    """One round by collapsing the full register: (outcome, bob_state)."""
+    basis = alice_basis(target)
+    rng = None if seed is None else np.random.default_rng(seed)
+    a_forced = cd_forced = None
+    if forced_key is not None:
+        a_forced = forced_key.alice - 1
+        cd_forced = int(forced_key.charlie + forced_key.david, 2)
+    a, _, psi = measure_projective(channel.build_channel(), [1], [basis.u1, basis.u2],
+                                   forced=a_forced, rng=rng)
+    # (C1, C2, D1, D2) in that order: the outcome index reads c1 c2 d1 d2
+    cd, _, psi = measure_projective(psi, [4, 6, 5, 7], list(np.eye(16)),
+                                    forced=cd_forced, rng=rng)
+    bits = format(cd, "04b")
+    key = OutcomeKey(a + 1, bits[:2], bits[2:])
+    for tok in recovery_sequence(key):
+        psi = apply_to_qubits(gate_matrix(tok), [2, 3], psi)
+    u = basis.u1 if a == 0 else basis.u2
+    c1, c2, d1, d2 = (int(b) for b in bits)
+    pair = np.einsum("a,abc->bc", u.conj(), psi.reshape((2,) * 7)[:, :, :, c1, d1, c2, d2])
+    pair = pair.reshape(-1)
+    return key, pair / np.linalg.norm(pair)
+
+
+def test_run_rsp_matches_collapsed_register(rng):
+    for t in random_targets(rng, 4):
+        for key in ALL_OUTCOME_KEYS:
+            want_key, want = _reference_round(t, forced_key=key)
+            tr = run_rsp(t, forced_key=key)
+            assert tr.outcome == want_key == key
+            assert np.max(np.abs(tr.bob_state - want)) <= 1e-12
+    t = TargetState(0.6, 0.8)
+    for seed in range(200):
+        assert run_rsp(t, seed=seed).outcome == _reference_round(t, seed=seed)[0]
+
+
+def test_tracer_finds_every_traced_attribute():
+    # the benchmark's tracer wraps functions at the module attribute each
+    # caller looks up; an attribute removed from rsp7 breaks every traced run
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    assert len(tracer._patches) == sum(len(attrs) for _, attrs, _ in tracing.TRACED)
 
 
 def test_run_rsp_rejects_relative_phase_target():
