@@ -87,6 +87,10 @@ class QubitScope(enum.Enum):
 #: (numerically) zero probability.
 ERROR_MARKER = "impossible-branch"
 
+#: Largest eta grid: ``branch_blocks`` holds the whole grid at once, about
+#: 184 KB per point for a ``--model both`` sweep.
+MAX_ETA_STEPS = 10_001
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -109,8 +113,8 @@ class SweepConfig:
                 f"eta grid must satisfy 0 <= start <= end <= 1, got "
                 f"[{self.eta_start}, {self.eta_end}]"
             )
-        if self.eta_steps < 2:
-            raise ValueError("eta_steps must be at least 2")
+        if not 2 <= self.eta_steps <= MAX_ETA_STEPS:
+            raise ValueError(f"eta_steps must lie in [2, {MAX_ETA_STEPS}], got {self.eta_steps}")
         if (
             self.model is SweepModel.TRUNCATED
             and self.qubit_scope is not QubitScope.ALL_SEVEN
@@ -140,10 +144,6 @@ class SweepRow:
         ):
             if f is not None and not -1e-10 <= f <= 1.0 + 1e-10:
                 raise ValueError(f"{name}={f!r} outside [0, 1] tolerance band")
-
-    @property
-    def error(self) -> Optional[str]:
-        return self.error_exact or self.error_truncated
 
 
 def _averaged(blocks: np.ndarray, target: TargetState) -> np.ndarray:
@@ -361,10 +361,8 @@ def inside_attack(
     v = isometry_matrix(params)
     residual = float(np.max(np.abs(v.conj().T @ v - np.eye(2))))
 
-    psi = channel.build_channel().reshape((2,) * 7)
-    c1, c2 = int(key.charlie[0]), int(key.charlie[1])
-    d1, d2 = int(key.david[0]), int(key.david[1])
-    w = psi[:, :, :, c1, d1, c2, d2].reshape(2, 4)  # sender x receiver pair
+    # sender x receiver pair
+    w = channel.party_layout(channel.build_channel())[:, key.outcome_index % 16]
     m = v @ w  # rows: (post-attack qubit, environment) compound
     raw = m @ m.conj().T
     weight = float(np.trace(raw).real)
@@ -511,7 +509,7 @@ def discrepancy_report() -> tuple[DiscrepancyEntry, ...]:
         )
     )
 
-    psi = channel.build_channel().reshape((2,) * 7)
+    layout = channel.party_layout(channel.build_channel())
     for rule in protocol.table_report().rules:
         if "repaired" in rule.status:
             entries.append(
@@ -524,10 +522,7 @@ def discrepancy_report() -> tuple[DiscrepancyEntry, ...]:
             )
         if rule.printed_pair is not None:
             c, d = rule.printed_pair
-            pc1, pc2, pd1, pd2 = int(c[0]), int(c[1]), int(d[0]), int(d[1])
-            mass = float(
-                np.sum(np.abs(psi[:, :, :, pc1, pd1, pc2, pd2]) ** 2)
-            )
+            mass = float(np.sum(np.abs(layout[:, int(c + d, 2)]) ** 2))
             entries.append(
                 DiscrepancyEntry(
                     subject=f"recovery-table outcome label ({c},{d})",

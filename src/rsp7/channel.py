@@ -23,14 +23,27 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import CX, apply_to_qubits, ket, permute_qubits, tensor
+from .linalg import CX, apply_to_qubits, ket, tensor
 
 QUBIT_PARTY = {1: "A", 2: "B1", 3: "B2", 4: "C1", 5: "D1", 6: "C2", 7: "D2"}
 
-#: Output slots (among the six non-sender qubits) for the factor-state
-#: qubit order (B1, B2, C1, C2, D1, D2): C2 and D1 swap places to land
-#: on register qubits (2, 3, 4, 6, 5, 7).
-_FACTOR_TO_REGISTER = (1, 2, 3, 5, 4, 6)
+#: Register qubits a branch measures, in layout order A, C1, C2, D1, D2.
+MEASURED_QUBITS = (1, 4, 6, 5, 7)
+_LAYOUT_AXES = tuple(q - 8 for q in MEASURED_QUBITS + (2, 3))
+
+
+def party_layout(vectors: np.ndarray) -> np.ndarray:
+    """Register vectors (..., 128) as (..., sender, helper pattern, receiver pair).
+
+    The one register layout every branch is read from, shape
+    (..., 2, 16, 4): the sender qubit, the helper pattern whose index
+    reads as the bits c1 c2 d1 d2 (``MEASURED_QUBITS[1:]``), and the pair
+    b1 b2.
+    """
+    vectors = np.asarray(vectors)
+    lead = vectors.shape[:-1]
+    t = vectors.reshape(lead + (2,) * 7).transpose(tuple(range(len(lead))) + _LAYOUT_AXES)
+    return t.reshape(lead + (2, 16, 4))
 
 
 def _alpha_beta(target) -> tuple[complex, complex]:
@@ -145,8 +158,9 @@ def factor_states(target) -> tuple[np.ndarray, np.ndarray]:
     """Six-qubit factor states (f1, f2) over qubit order (B1,B2,C1,C2,D1,D2).
 
     Unnormalized on purpose: each has squared norm 8, so that
-    |Psi> = (1/4) [u1 (x) P f1 + u2 (x) P f2] with u1, u2 the sender
-    basis and P the relabeling onto register positions (2,3,4,6,5,7).
+    |Psi> = (1/4) [u1 (x) f1 + u2 (x) f2] with u1, u2 the sender basis;
+    read as (pair, helper pattern), f1 and f2 hold the helpers in
+    ``party_layout`` order.
     """
     a, b = _alpha_beta(target)
     f1 = _build_factor(_F1_BLOCKS, a, b)
@@ -191,13 +205,11 @@ def verify_factorization(target) -> float:
     after aligning that phase; for real parameters this is the plain
     norm difference.
     """
-    u1, u2 = sender_basis_vectors(target)
-    f1, f2 = factor_states(target)
-    recon = 0.25 * (
-        tensor(u1, permute_qubits(f1, _FACTOR_TO_REGISTER))
-        + tensor(u2, permute_qubits(f2, _FACTOR_TO_REGISTER))
+    recon = 0.25 * sum(
+        u[:, None, None] * f.reshape(4, 16).T
+        for u, f in zip(sender_basis_vectors(target), factor_states(target))
     )
-    psi = build_channel()
+    psi = party_layout(build_channel())
     overlap = np.vdot(recon, psi)
     if abs(overlap) > 1e-12:
         recon = recon * (overlap / abs(overlap))

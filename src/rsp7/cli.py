@@ -259,6 +259,16 @@ class _Options:
         return default
 
 
+def _choice(opts: _Options, key: str, enum, default: str):
+    """The member of ``enum`` named by option ``key``."""
+    text = opts.get(key, str, default)
+    try:
+        return enum(text)
+    except ValueError:
+        valid = ", ".join(m.value for m in enum)
+        raise UsageError(f"unknown {key} {text!r}; valid: {valid}") from None
+
+
 _TARGET_NORM_SLACK = 1e-6
 
 
@@ -365,16 +375,8 @@ def _cmd_sweep(opts: _Options, stdout: TextIO) -> int:
         except ImpossibleBranchError as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_IMPOSSIBLE_BRANCH
-    model_text = opts.get("model", str, "both")
-    try:
-        model = SweepModel(model_text)
-    except ValueError:
-        raise UsageError(f"unknown model {model_text!r}; valid: exact, truncated, both")
-    scope_text = opts.get("scope", str, "all")
-    try:
-        scope = QubitScope(scope_text)
-    except ValueError:
-        raise UsageError(f"unknown scope {scope_text!r}; valid: all, transmitted")
+    model = _choice(opts, "model", SweepModel, "both")
+    scope = _choice(opts, "scope", QubitScope, "all")
     try:
         config = SweepConfig(
             kinds=kinds,
@@ -555,13 +557,17 @@ def _cmd_verify(opts: _Options, stdout: TextIO) -> int:
     return EXIT_OK if ok else 1
 
 
+#: Largest attack environment: ``inside_attack`` builds (2d) x (2d) matrices.
+MAX_ENV_DIM = 1024
+
+
 def _cmd_security(opts: _Options, stdout: TextIO) -> int:
     mode = opts.get("mode", str)
     if mode == "inside":
         seed = opts.get("seed", int, 0)
         env_dim = opts.get("env-dim", int, 2)
-        if env_dim < 2:
-            raise UsageError("--env-dim must be at least 2")
+        if not 2 <= env_dim <= MAX_ENV_DIM:
+            raise UsageError(f"--env-dim must lie in [2, {MAX_ENV_DIM}]")
         target = TargetState(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
         key = protocol.OutcomeKey(1, "00", "00")
         if opts.get("trivial", bool, False):
@@ -601,12 +607,7 @@ def _cmd_security(opts: _Options, stdout: TextIO) -> int:
         decoys = opts.get("decoys", int, 10)
         trials = opts.get("trials", int, 10000)
         seed = opts.get("seed", int, 0)
-        strategy_text = opts.get("strategy", str, "intercept_resend")
-        try:
-            strategy = analysis.OutsideStrategy(strategy_text)
-        except ValueError:
-            valid = ", ".join(s.value for s in analysis.OutsideStrategy)
-            raise UsageError(f"unknown strategy {strategy_text!r}; valid: {valid}")
+        strategy = _choice(opts, "strategy", analysis.OutsideStrategy, "intercept_resend")
         if decoys < 1:
             raise UsageError("--decoys must be at least 1")
         if trials < 1:

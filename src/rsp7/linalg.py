@@ -144,22 +144,6 @@ def apply_to_qubits(op: np.ndarray, targets: Sequence[int], state: np.ndarray) -
     return _frozen(out.reshape(2 ** n, 2 ** n))
 
 
-def permute_qubits(state: np.ndarray, order: Sequence[int]) -> np.ndarray:
-    """Reorder register qubits of a state vector.
-
-    ``order[j]`` names the input qubit (1-based) that lands in output
-    slot ``j + 1``.
-    """
-    state = np.asarray(state, dtype=np.complex128)
-    if state.ndim != 1:
-        raise ValueError("permute_qubits expects a state vector")
-    n = n_qubits(state)
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValueError(f"order {list(order)} is not a permutation of 1..{n}")
-    axes = [q - 1 for q in order]
-    return _frozen(state.reshape((2,) * n).transpose(axes).reshape(-1))
-
-
 def partial_trace(rho: np.ndarray, discard: Iterable[int]) -> np.ndarray:
     """Trace out the listed qubits (1-based) of a density matrix."""
     rho = np.asarray(rho, dtype=np.complex128)

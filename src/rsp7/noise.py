@@ -244,19 +244,8 @@ def _recovery_gates() -> np.ndarray:
     return gates
 
 
-#: Register qubits a branch measures: the sender, then C1, D1, C2, D2.
-_MEASURED_QUBITS = (1, 4, 5, 6, 7)
-
-
-def _measured_outcomes(key: OutcomeKey) -> tuple[int, ...]:
-    """Outcome index of ``key`` on each of ``_MEASURED_QUBITS``."""
-    return (
-        key.alice - 1,
-        int(key.charlie[0]),
-        int(key.david[0]),
-        int(key.charlie[1]),
-        int(key.david[1]),
-    )
+#: Slot of each of ALL_OUTCOME_KEYS among the 32 (sender, helper) outcomes.
+_PICKS = np.array([key.outcome_index for key in ALL_OUTCOME_KEYS])
 
 
 def _pair_channel(ops: np.ndarray, qubit: int, blocks: np.ndarray) -> np.ndarray:
@@ -269,7 +258,7 @@ def _pair_channel(ops: np.ndarray, qubit: int, blocks: np.ndarray) -> np.ndarray
 
 
 def _exact_pair_blocks(
-    ops: np.ndarray, noisy: tuple[int, ...], senders: np.ndarray, picks: np.ndarray
+    ops: np.ndarray, noisy: tuple[int, ...], senders: np.ndarray
 ) -> np.ndarray:
     """Receiver-pair blocks before the recovery gates, exact model.
 
@@ -280,13 +269,11 @@ def _exact_pair_blocks(
     forward channel.  ``ops`` is (eta, Kraus index, 2, 2).
     """
     n_eta = len(ops)
-    psi = channel.build_channel().reshape((2,) * 7)
-    # measured qubits first (register order 1, 4, 5, 6, 7), the pair last
-    w = psi.transpose(0, 3, 4, 5, 6, 1, 2).reshape(32, 4)
+    w = channel.party_layout(channel.build_channel()).reshape(32, 4)
     bits = np.array([_bit_projector("0"), _bit_projector("1")])
     # phi[e, outcomes so far, unprocessed measured qubits + pair + processed ones]
     phi = w.reshape(1, 1, -1)
-    for q in _MEASURED_QUBITS:
+    for q in channel.MEASURED_QUBITS:
         proj = np.einsum("si,sj->sij", senders, senders.conj()) if q == 1 else bits
         if q in noisy:
             dual = np.einsum("ejyx,syz,ejzw->esxw", ops.conj(), proj, ops)
@@ -298,16 +285,14 @@ def _exact_pair_blocks(
         phi = out.swapaxes(-1, -2).reshape(n_eta, out.shape[1], -1)
     # <Psi| closes the measured qubits: r[e, outcome string, b, c]
     r = phi.reshape(n_eta, 32, 4, 32) @ w.conj()
-    blocks = r[:, np.ravel_multi_index(picks, (2,) * 5)]
+    blocks = r[:, _PICKS]
     for q in (2, 3):
         if q in noisy:
             blocks = _pair_channel(ops, q, blocks)
     return blocks
 
 
-def _truncated_pair_blocks(
-    ops: np.ndarray, senders: np.ndarray, picks: np.ndarray
-) -> np.ndarray:
+def _truncated_pair_blocks(ops: np.ndarray, senders: np.ndarray) -> np.ndarray:
     """Receiver-pair blocks before the recovery gates, truncated model.
 
     Each uniform-index vector v_j = E_j^(x7) |Psi> is contracted like a
@@ -319,11 +304,8 @@ def _truncated_pair_blocks(
         t = v.reshape(n_eta, n_ops, 2 ** q, 2, 2 ** (6 - q))
         v = np.einsum("ejxy,ejlyr->ejlxr", ops, t).reshape(n_eta, n_ops, 128)
     weight = np.einsum("ejx,ejx->e", v, v.conj()).real
-    v = v.reshape((n_eta, n_ops) + (2,) * 7)
-    # register order A, B1, B2, C1, D1, C2, D2; one helper pattern per key
-    sub = v[:, :, :, :, :, picks[1], picks[2], picks[3], picks[4]]
-    amp = np.einsum("ka,ejabck->ejkbc", senders.conj()[picks[0]], sub)
-    amp = amp.reshape(n_eta, n_ops, -1, 4)
+    layout = channel.party_layout(v).reshape(n_eta, n_ops, 2, 64)
+    amp = (senders.conj() @ layout).reshape(n_eta, n_ops, 32, 4)[:, :, _PICKS]
     pair = np.einsum("ejkb,ejkc->ekbc", amp, amp.conj())
     return pair / weight[:, None, None, None]
 
@@ -350,15 +332,14 @@ def branch_blocks(
     ops = np.array([kraus_operators(kind, spec.eta).operators for spec in specs])
     basis = alice_basis(target)
     senders = np.array([basis.u1, basis.u2])
-    picks = np.array([_measured_outcomes(key) for key in ALL_OUTCOME_KEYS]).T
     if model is EvolutionModel.EXACT:
-        pair = _exact_pair_blocks(ops, specs[0].qubits, senders, picks)
+        pair = _exact_pair_blocks(ops, specs[0].qubits, senders)
     elif model is EvolutionModel.TRUNCATED:
         if not specs[0].all_seven:
             raise UnsupportedConfigurationError(
                 "the truncated model requires noise on all seven qubits"
             )
-        pair = _truncated_pair_blocks(ops, senders, picks)
+        pair = _truncated_pair_blocks(ops, senders)
     else:
         raise TypeError(f"unknown evolution model {model!r}")
     gates = _recovery_gates()
@@ -465,8 +446,8 @@ def _string_tables(
     basis = alice_basis(target)
     senders = np.array([basis.u1, basis.u2]).conj()
     # <u_a| on the sender and <bit| on each helper, as (1, 2) rows
-    bras = {q: (senders if q == 1 else np.eye(2))[[o]]
-            for q, o in zip(_MEASURED_QUBITS, _measured_outcomes(key))}
+    bras = {q: (senders if q == 1 else np.eye(2))[[int(bit)]]
+            for q, bit in zip(channel.MEASURED_QUBITS, format(key.outcome_index, "05b"))}
     psi = channel.build_channel()
     amp = psi.reshape(1, 1, 128)  # (string, pair qubits so far, unprocessed qubits)
     rho = np.outer(psi, psi.conj()).reshape(1, 128, 128)  # (string, rows, columns)

@@ -140,6 +140,12 @@ class OutcomeKey:
     def label(self) -> str:
         return f"U{self.alice},{self.charlie},{self.david}"
 
+    @property
+    def outcome_index(self) -> int:
+        """Slot of this key among the 2 x 16 (sender, helper pattern)
+        outcomes of ``channel.party_layout``."""
+        return (self.alice - 1) * 16 + int(self.charlie + self.david, 2)
+
     @classmethod
     def parse(cls, text: str) -> "OutcomeKey":
         parts = text.strip().split(",")
@@ -431,8 +437,8 @@ def measure_projective(
     basis = [np.asarray(b, dtype=np.complex128).reshape(-1) for b in basis]
     if len(basis) != 2 ** k or any(b.shape != (2 ** k,) for b in basis):
         raise ValueError(f"basis must hold {2 ** k} states of dimension {2 ** k}")
-    gram = np.array([[np.vdot(a, b) for b in basis] for a in basis])
-    if np.max(np.abs(gram - np.eye(2 ** k))) > 1e-10:
+    basis = np.array(basis)
+    if np.max(np.abs(basis.conj() @ basis.T - np.eye(2 ** k))) > 1e-10:
         raise ValueError("measurement basis is not orthonormal")
     if (forced is None) == (rng is None):
         raise ValueError("provide exactly one of forced= or rng=")
@@ -442,7 +448,7 @@ def measure_projective(
     # amplitudes[b] = <basis_b| psi, a tensor over the unmeasured qubits
     moved = np.moveaxis(psi, axes, range(k))
     flat = moved.reshape(2 ** k, -1)
-    amp = np.array([b.conj() @ flat for b in basis])
+    amp = basis.conj() @ flat
     probs = np.einsum("bi,bi->b", amp, amp.conj()).real
 
     if forced is not None:
@@ -496,15 +502,13 @@ def run_rsp(
     if (seed is None) == (forced_key is None):
         raise ValueError("provide exactly one of seed= or forced_key=")
     basis = alice_basis(target)
-    # register order A, B1, B2, C1, D1, C2, D2 -> A, C1, C2, D1, D2, B1, B2
-    psi = channel.build_channel().reshape((2,) * 7).transpose(0, 3, 5, 4, 6, 1, 2)
-    amp = (np.array([basis.u1, basis.u2]).conj() @ psi.reshape(2, 64)).reshape(2, 16, 4)
+    layout = channel.party_layout(channel.build_channel())
+    amp = (np.array([basis.u1, basis.u2]).conj() @ layout.reshape(2, 64)).reshape(2, 16, 4)
     weights = np.einsum("apb,apb->ap", amp, amp.conj()).real
     p_sender = weights.sum(axis=1)
 
     if forced_key is not None:
-        a_idx = forced_key.alice - 1
-        cd_idx = int(forced_key.charlie + forced_key.david, 2)
+        a_idx, cd_idx = divmod(forced_key.outcome_index, 16)
         p_a = float(p_sender[a_idx])
         p_cd = float(weights[a_idx, cd_idx] / p_a)
         for outcome, p in ((a_idx, p_a), (cd_idx, p_cd)):

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rsp7 import channel
-from rsp7.protocol import TargetState
+from rsp7.protocol import ALL_OUTCOME_KEYS, TargetState
 
 from conftest import random_targets
 
@@ -138,3 +140,34 @@ def test_party_map_is_total():
     assert set(channel.QUBIT_PARTY.values()) == {
         "A", "B1", "B2", "C1", "D1", "C2", "D2"
     }
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 3), max_size=2), st.integers(0, 2 ** 32 - 1))
+def test_party_layout_places_each_party_bit(lead, seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(lead) + (128,)
+    vectors = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    layout = channel.party_layout(vectors)
+    assert layout.shape == tuple(lead) + (2, 16, 4)
+    for a in range(2):
+        for h in range(16):
+            for p in range(4):
+                bits = {"A": a, "C1": h >> 3, "C2": h >> 2 & 1, "D1": h >> 1 & 1,
+                        "D2": h & 1, "B1": p >> 1, "B2": p & 1}
+                index = sum(bits[party] << (7 - q) for q, party in channel.QUBIT_PARTY.items())
+                assert np.array_equal(layout[..., a, h, p], vectors[..., index])
+
+
+def test_outcome_slots_hold_the_whole_channel():
+    slots = [key.outcome_index for key in ALL_OUTCOME_KEYS]
+    assert len(set(slots)) == 16
+    layout = channel.party_layout(channel.build_channel())
+    weights = np.sum(np.abs(layout) ** 2, axis=-1).reshape(32)
+    assert_allclose(weights[slots].sum(), 1.0, atol=1e-12)
+    assert np.all(np.delete(weights, slots) == 0.0)
+    register = channel.build_channel().reshape((2,) * 7)
+    for key in ALL_OUTCOME_KEYS:
+        c1, c2, d1, d2 = (int(b) for b in key.charlie + key.david)
+        assert np.array_equal(layout[:, key.outcome_index % 16].reshape(2, 2, 2),
+                              register[:, :, :, c1, d1, c2, d2])

@@ -1,5 +1,7 @@
 import io
 
+import pytest
+
 from rsp7 import cli
 from rsp7.cli import main
 
@@ -160,6 +162,21 @@ def test_sweep_unwritable_path(tmp_path, capsys, monkeypatch):
     assert "cannot write" in err
 
 
+def test_sweep_steps_limit(tmp_path, capsys, monkeypatch):
+    def no_grid(config):
+        assert config.eta_steps == cli.analysis.MAX_ETA_STEPS
+        return ()
+
+    monkeypatch.setattr(cli.analysis, "fidelity_sweep", no_grid)
+    argv = ["sweep", "--alpha", "1", "--beta", "0", "--out", str(tmp_path / "s.csv")]
+    code, _, err = run_cli(argv + ["--steps", str(cli.analysis.MAX_ETA_STEPS + 1)], capsys)
+    assert code == 2
+    assert "eta_steps must lie in [2, 10001]" in err
+    assert not (tmp_path / "s.csv").exists()
+    code, _, _ = run_cli(argv + ["--steps", str(cli.analysis.MAX_ETA_STEPS)], capsys)
+    assert code == 0
+
+
 def test_sweep_unknown_noise_kind(capsys):
     code, _, err = run_cli(["sweep", "--alpha", "1", "--beta", "0",
                             "--noise", "thermal"], capsys)
@@ -246,6 +263,27 @@ def test_config_file_overlong_line(tmp_path, capsys):
     assert len(err) < 500
 
 
+@pytest.mark.parametrize("command, line, message", [
+    ("sweep", "model=fancy", "unknown model 'fancy'; valid: exact, truncated, both"),
+    ("sweep", "scope=everything", "unknown scope 'everything'; valid: all, transmitted"),
+    ("security", "strategy=ping",
+     "unknown strategy 'ping'; valid: intercept_resend, measure_resend"),
+])
+def test_config_file_unknown_choice(tmp_path, capsys, command, line, message):
+    cfg = tmp_path / "choice.cfg"
+    cfg.write_text(f"alpha=1\nbeta=0\nmode=outside\n{line}\n")
+    code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_config_file_choice_value(tmp_path, capsys):
+    cfg = tmp_path / "choice.cfg"
+    cfg.write_text("mode=outside\nstrategy=measure_resend\ntrials=10\n")
+    code, out, _ = run_cli(["security", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert out.startswith("attack: measure_resend on 10 decoy qubits")
+
+
 def test_config_file_missing(tmp_path, capsys):
     code, _, err = run_cli(["run", "--config", str(tmp_path / "nope.cfg"),
                             "--seed", "1"], capsys)
@@ -294,6 +332,22 @@ def test_security_outside(capsys):
     est = float(out.split("detection probability estimate: ")[1].split("\n")[0])
     se = float(out.split("standard error: ")[1].split("\n")[0])
     assert abs(est - 0.943686485291) <= 3 * se
+
+
+def test_security_env_dim_limit(capsys, monkeypatch):
+    class Called(Exception):
+        pass
+
+    def attack(target, key, params):
+        raise Called(params.env_dim)
+
+    monkeypatch.setattr(cli.analysis, "inside_attack", attack)
+    argv = ["security", "--mode", "inside", "--samples", "1", "--env-dim"]
+    code, _, err = run_cli(argv + [str(cli.MAX_ENV_DIM + 1)], capsys)
+    assert code == 2
+    assert "--env-dim must lie in [2, 1024]" in err
+    with pytest.raises(Called):
+        main(argv + [str(cli.MAX_ENV_DIM)])
 
 
 def test_security_requires_mode(capsys):
