@@ -246,6 +246,20 @@ def fidelity_sweep(config: SweepConfig) -> tuple[SweepRow, ...]:
 # Inside attack: a dishonest helper entangles the sender's qubit with a
 # private environment.
 
+#: Largest deviation from V^dagger V = I accepted for an attack isometry.
+ISOMETRY_TOL = 1e-10
+
+#: Entries of m m^dagger one chunk of ``sample_inside_attacks`` holds (at least one sample).
+_ATTACK_CHUNK_ENTRIES = 2**22
+
+
+def _random_isometries(env_dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar-ish (2 env_dim) x 2 isometries, on the stream of ``count`` single draws."""
+    g = rng.normal(size=(count, 2, 2 * env_dim, 2))
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    # fix the QR phase ambiguity so draws are well spread
+    return q * np.exp(-1j * np.angle(np.diagonal(r, axis1=-2, axis2=-1)))[:, None, :]
+
 
 @dataclass(frozen=True)
 class AttackParams:
@@ -279,17 +293,17 @@ class AttackParams:
         if dim < 2:
             raise ValueError(f"environment dimension must be at least 2, got {dim}")
         n0 = np.vdot(frags["e00"], frags["e00"]).real + np.vdot(frags["e01"], frags["e01"]).real
-        if abs(n0 - 1.0) > 1e-10:
+        if abs(n0 - 1.0) > ISOMETRY_TOL:
             raise ValueError(
                 f"first-row normalization <e00|e00> + <e01|e01> = {float(n0):.6f}, must be 1"
             )
         n1 = np.vdot(frags["e10"], frags["e10"]).real + np.vdot(frags["e11"], frags["e11"]).real
-        if abs(n1 - 1.0) > 1e-10:
+        if abs(n1 - 1.0) > ISOMETRY_TOL:
             raise ValueError(
                 f"second-row normalization <e10|e10> + <e11|e11> = {float(n1):.6f}, must be 1"
             )
         x = np.vdot(frags["e00"], frags["e10"]) + np.vdot(frags["e01"], frags["e11"])
-        if abs(x) > 1e-10:
+        if abs(x) > ISOMETRY_TOL:
             raise ValueError(
                 f"row orthogonality <e00|e10> + <e01|e11> = {complex(x):.6f}, must vanish"
             )
@@ -309,16 +323,8 @@ class AttackParams:
     @classmethod
     def random(cls, env_dim: int, rng: np.random.Generator) -> "AttackParams":
         """A Haar-ish random valid attack from the QR of a Gaussian matrix."""
-        g = rng.normal(size=(2 * env_dim, 2)) + 1j * rng.normal(size=(2 * env_dim, 2))
-        q, r = np.linalg.qr(g)
-        # fix the QR phase ambiguity so draws are well spread
-        q = q * np.exp(-1j * np.angle(np.diag(r)))[None, :]
-        return cls(
-            e00=q[:env_dim, 0],
-            e01=q[env_dim:, 0],
-            e10=q[:env_dim, 1],
-            e11=q[env_dim:, 1],
-        )
+        q = _random_isometries(env_dim, 1, rng)[0]
+        return cls(e00=q[:env_dim, 0], e01=q[env_dim:, 0], e10=q[:env_dim, 1], e11=q[env_dim:, 1])
 
 
 def isometry_matrix(params: AttackParams) -> np.ndarray:
@@ -388,6 +394,33 @@ def inside_attack(
     )
 
 
+def sample_inside_attacks(
+    key: OutcomeKey, env_dim: int, samples: int, rng: np.random.Generator
+) -> tuple[np.ndarray, float]:
+    """Purities of ``samples`` random attacks and their worst isometry residual:
+    ``inside_attack(target, key, AttackParams.random(env_dim, rng))`` sample by
+    sample on the same stream, for any target.  Raises ValueError for a map that
+    misses V^dagger V = I by more than ISOMETRY_TOL or is not finite.
+    """
+    if samples < 1 or env_dim < 2:
+        raise ValueError(f"need samples >= 1 and env_dim >= 2, got {samples}, {env_dim}")
+    w = channel.party_layout(channel.build_channel())[:, key.outcome_index % 16]
+    per_chunk = max(1, _ATTACK_CHUNK_ENTRIES // (2 * env_dim) ** 2)
+    purities = np.empty(samples)
+    worst = 0.0
+    for start in range(0, samples, per_chunk):
+        v = _random_isometries(env_dim, min(per_chunk, samples - start), rng)
+        residual = float(np.max(np.abs(v.conj().swapaxes(1, 2) @ v - np.eye(2))))
+        if not residual <= ISOMETRY_TOL:  # also catches NaN
+            raise ValueError(f"sampled map misses V^dagger V = I by {residual:.3e}")
+        worst = max(worst, residual)
+        m = v @ w
+        raw = m @ m.conj().swapaxes(1, 2)
+        rho = raw / np.trace(raw, axis1=1, axis2=2).real[:, None, None]
+        purities[start : start + len(v)] = np.einsum("nij,nji->n", rho, rho).real
+    return purities, worst
+
+
 # ---------------------------------------------------------------------------
 # Outside attack: intercepting decoy qubits.
 
@@ -446,24 +479,26 @@ def outside_attack_sim(
         raise TypeError(f"unknown strategy {strategy!r}")
     rng = np.random.default_rng(seed)
 
-    # born[b_meas, out, b_prep, i_prep] = |<basis_b_meas, out | basis_b_prep, i_prep>|^2
+    # born[m*8 + o*4 + p*2 + i] = |<basis_m, outcome o | basis_p, state i>|^2
     overlap = np.einsum("moa,pia->mopi", DECOY_BASES.conj(), DECOY_BASES)
-    born = np.abs(overlap) ** 2
+    born = (np.abs(overlap) ** 2).ravel()
 
+    # each draw is held as int8; the int64 draws keep the seeded stream
     shape = (trials, n_decoys)
-    prep_basis = rng.integers(2, size=shape)
-    prep_bit = rng.integers(2, size=shape)
+    prep_basis = rng.integers(2, size=shape).astype(np.int8)
+    prep_bit = rng.integers(2, size=shape).astype(np.int8)
     if strategy is OutsideStrategy.INTERCEPT_RESEND:
-        eve_basis = rng.integers(2, size=shape)
+        eve_basis = rng.integers(2, size=shape).astype(np.int8)
     else:
-        eve_basis = np.zeros(shape, dtype=np.int64)
+        eve_basis = np.zeros(shape, dtype=np.int8)
 
-    p_eve0 = born[eve_basis, 0, prep_basis, prep_bit]
-    eve_out = (rng.random(shape) >= p_eve0).astype(np.int64)
+    p_eve0 = born[eve_basis * 8 + prep_basis * 2 + prep_bit]
+    eve_out = (rng.random(shape) >= p_eve0).astype(np.int8)
+    del p_eve0  # freed before the second gather, which sets the peak
     # the decoy is resent as the attacker's post-measurement state and
     # verified in the preparation basis
-    p_ver0 = born[prep_basis, 0, eve_basis, eve_out]
-    ver_out = (rng.random(shape) >= p_ver0).astype(np.int64)
+    p_ver0 = born[prep_basis * 8 + eve_basis * 2 + eve_out]
+    ver_out = rng.random(shape) >= p_ver0
     detected = (ver_out != prep_bit).any(axis=1)
 
     p_hat = float(detected.mean())

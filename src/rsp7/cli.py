@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import re
@@ -557,8 +558,11 @@ def _cmd_verify(opts: _Options, stdout: TextIO) -> int:
     return EXIT_OK if ok else 1
 
 
-#: Largest attack environment: ``inside_attack`` builds (2d) x (2d) matrices.
+#: Largest attack environment: the inside attack builds (2d) x (2d) matrices.
 MAX_ENV_DIM = 1024
+
+#: Largest --trials x --decoys: the outside attack holds about 20 bytes per draw.
+MAX_DECOY_DRAWS = 10**8
 
 
 def _cmd_security(opts: _Options, stdout: TextIO) -> int:
@@ -586,14 +590,7 @@ def _cmd_security(opts: _Options, stdout: TextIO) -> int:
         if samples < 1:
             raise UsageError("--samples must be at least 1")
         rng = np.random.default_rng(seed)
-        purities = []
-        worst_residual = 0.0
-        for _ in range(samples):
-            params = analysis.AttackParams.random(env_dim, rng)
-            res = analysis.inside_attack(target, key, params)
-            purities.append(res.purity)
-            worst_residual = max(worst_residual, res.isometry_residual)
-        arr = np.array(purities)
+        arr, worst_residual = analysis.sample_inside_attacks(key, env_dim, samples, rng)
         print(f"attack: sampled entangling maps (n={samples}, env_dim={env_dim}, seed={seed})",
               file=stdout)
         print(f"attacker-state purity: min {_fmt(arr.min())}  mean {_fmt(arr.mean())}  "
@@ -612,6 +609,8 @@ def _cmd_security(opts: _Options, stdout: TextIO) -> int:
             raise UsageError("--decoys must be at least 1")
         if trials < 1:
             raise UsageError("--trials must be at least 1")
+        if trials * decoys > MAX_DECOY_DRAWS:
+            raise UsageError(f"--trials x --decoys must be at most {MAX_DECOY_DRAWS}")
         est = analysis.outside_attack_sim(decoys, strategy, trials=trials, seed=seed)
         ana = analysis.analytic_detection_probability(decoys)
         print(f"attack: {strategy.value} on {decoys} decoy qubits "
@@ -627,7 +626,9 @@ def _cmd_security(opts: _Options, stdout: TextIO) -> int:
 # Parser and entry point.
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The rsp7 parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rsp7",
         description=(

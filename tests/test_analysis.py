@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from rsp7.analysis import (
     inside_attack,
     outside_attack_sim,
     purity,
+    sample_inside_attacks,
 )
 from rsp7.linalg import ket, pure_density
 from rsp7.noise import EvolutionModel, NoiseKind, NoiseSpec
@@ -244,6 +246,69 @@ def test_attack_params_reject_non_finite_fragments():
         AttackParams(e00=e0, e01=np.array([np.nan, 0.0]), e10=zero, e11=e0)
 
 
+def test_random_attack_stream_is_pinned():
+    # the seeded sampled attacks depend on this draw order and phase fix
+    params = AttackParams.random(2, np.random.default_rng(0))
+    want = {
+        "e00": [0.039261788303 - 0.219755470157j, 0.199984843001 - 0.194629976705j],
+        "e01": [-0.167273526972 - 0.726037584894j, 0.407200220227 - 0.389060732014j],
+        "e10": [-0.171098963755 - 0.734496207217j, -0.118086562103 + 0.128296197963j],
+        "e11": [0.214931859776 + 0.42154055559j, 0.27614555146 - 0.317313103541j],
+    }
+    for name, values in want.items():
+        assert_allclose(getattr(params, name), values, atol=1e-12)
+
+
+@pytest.mark.parametrize("samples", [1, 100])
+@pytest.mark.parametrize("env_dim", [2, 3, 5])
+@pytest.mark.parametrize("seed", range(5))
+def test_sampled_attacks_equal_the_per_sample_loop(seed, env_dim, samples):
+    rng = np.random.default_rng(seed)
+    loop = [inside_attack(BELL, KEY00, AttackParams.random(env_dim, rng))
+            for _ in range(samples)]
+    after_loop = rng.random()
+    rng = np.random.default_rng(seed)
+    purities, worst = sample_inside_attacks(KEY00, env_dim, samples, rng)
+    assert purities.tolist() == [r.purity for r in loop]
+    assert worst == max(r.isometry_residual for r in loop)
+    assert rng.random() == after_loop
+
+
+@pytest.mark.parametrize("per_chunk", [7, 0])
+def test_sampled_attack_chunks_keep_the_stream(monkeypatch, per_chunk):
+    # 7 samples per chunk leaves a partial last chunk; 0 forces one sample each
+    key, env_dim = OutcomeKey(2, "01", "11"), 3
+    rng = np.random.default_rng(11)
+    loop = [inside_attack(BELL, key, AttackParams.random(env_dim, rng)) for _ in range(100)]
+    monkeypatch.setattr(analysis, "_ATTACK_CHUNK_ENTRIES", per_chunk * (2 * env_dim) ** 2)
+    purities, worst = sample_inside_attacks(key, env_dim, 100, np.random.default_rng(11))
+    assert purities.tolist() == [r.purity for r in loop]
+    assert worst == max(r.isometry_residual for r in loop)
+
+
+def test_sampled_attacks_reject_non_isometries(monkeypatch):
+    for env_dim, samples in ((1, 5), (2, 0)):
+        with pytest.raises(ValueError, match="need samples >= 1 and env_dim >= 2"):
+            sample_inside_attacks(KEY00, env_dim, samples, np.random.default_rng(0))
+    v = np.array(analysis.isometry_matrix(AttackParams.trivial()))
+    for second, ok in (
+        (v, True),
+        (v * (1.0 + 0.4 * analysis.ISOMETRY_TOL), True),
+        (v * (1.0 + analysis.ISOMETRY_TOL), False),
+        (np.where(v == 1.0, np.nan, v), False),
+        (np.where(v == 1.0, np.inf, v), False),
+    ):
+        monkeypatch.setattr(analysis, "_random_isometries",
+                            lambda d, n, rng, second=second: np.stack([v, second]))
+        if ok:
+            purities, worst = sample_inside_attacks(KEY00, 2, 2, None)
+            assert_allclose(purities, 0.5, atol=1e-12)
+            assert worst <= analysis.ISOMETRY_TOL
+        else:
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="misses V"):
+                sample_inside_attacks(KEY00, 2, 2, None)
+
+
 # --------------------------------------------------------------------------
 # Outside attack.
 
@@ -295,6 +360,28 @@ def test_outside_sim_determinism():
     b = outside_attack_sim(5, OutsideStrategy.MEASURE_RESEND,
                            trials=5000, seed=9)
     assert a == b
+
+
+@pytest.mark.parametrize("decoys, strategy, trials, seed, p_hat, se", [
+    (10, OutsideStrategy.INTERCEPT_RESEND, 100_000, 7, 0.94332, 0.0007312139057758677),
+    (1, OutsideStrategy.MEASURE_RESEND, 200_000, 5, 0.25006, 0.000968323283826223),
+    (3, OutsideStrategy.INTERCEPT_RESEND, 9, 0, 0.6666666666666666, 0.15713484026367724),
+])
+def test_outside_sim_stream_is_pinned(decoys, strategy, trials, seed, p_hat, se):
+    est = outside_attack_sim(decoys, strategy, trials=trials, seed=seed)
+    assert (est.probability, est.std_error, est.n_trials) == (p_hat, se, trials)
+
+
+def test_outside_sim_holds_about_twenty_bytes_per_draw():
+    # the --trials x --decoys cap of the CLI assumes this footprint
+    outside_attack_sim(10, OutsideStrategy.INTERCEPT_RESEND, trials=10, seed=1)
+    tracemalloc.start()
+    try:
+        outside_attack_sim(10, OutsideStrategy.INTERCEPT_RESEND, trials=20_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 200_000
 
 
 def test_outside_sim_rejects_zero_decoys():

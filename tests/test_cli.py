@@ -1,9 +1,11 @@
 import io
 
+import numpy as np
 import pytest
 
 from rsp7 import cli
 from rsp7.cli import main
+from rsp7.protocol import OutcomeKey, TargetState
 
 
 def run_cli(args, capsys):
@@ -290,6 +292,30 @@ def test_config_file_missing(tmp_path, capsys):
     assert code == 4
 
 
+def test_parser_is_reused_without_carrying_state(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("colour=blue\n")
+    runs = [
+        ["run", "--alpha", "0.6", "--seed"],
+        ["run", "--help"],
+        ["run", "--config", str(cfg), "--seed", "1"],
+        ["run", "--alpha", "0.6", "--beta", "0.8", "--seed", "3"],
+        ["run", "--alpha", "1", "--beta", "0", "--force-outcome", "U2,01,01"],
+    ]
+
+    def call(argv):
+        return (main(argv), *capsys.readouterr())
+
+    alone = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        alone.append(call(argv))
+    assert [r[0] for r in alone] == [2, 0, 2, 0, 0]
+    cli.build_parser.cache_clear()
+    assert [call(argv) for argv in runs] == alone
+    assert cli.build_parser.cache_info().misses == 1
+
+
 # --------------------------------------------------------------------------
 # verify
 
@@ -316,6 +342,23 @@ def test_security_inside_sampled(capsys):
     assert "attacker state always mixed (purity < 1 - 1e-6): yes" in out
 
 
+@pytest.mark.parametrize("seed, env_dim", [(3, 3), (7, 5)])
+def test_security_inside_reports_the_per_sample_attacks(capsys, seed, env_dim):
+    rng = np.random.default_rng(seed)
+    results = [cli.analysis.inside_attack(TargetState(0.6, 0.8), OutcomeKey(1, "00", "00"),
+                                          cli.analysis.AttackParams.random(env_dim, rng))
+               for _ in range(20)]
+    purities = np.array([r.purity for r in results])
+    code, out, _ = run_cli(["security", "--mode", "inside", "--samples", "20", "--seed",
+                            str(seed), "--env-dim", str(env_dim)], capsys)
+    assert code == 0
+    assert out.splitlines()[1:3] == [
+        f"attacker-state purity: min {purities.min():.12f}  mean {purities.mean():.12f}  "
+        f"max {purities.max():.12f}",
+        f"max isometry residual: {max(r.isometry_residual for r in results):.3e}",
+    ]
+
+
 def test_security_inside_trivial(capsys):
     code, out, _ = run_cli(["security", "--mode", "inside", "--trivial"],
                            capsys)
@@ -338,16 +381,33 @@ def test_security_env_dim_limit(capsys, monkeypatch):
     class Called(Exception):
         pass
 
-    def attack(target, key, params):
-        raise Called(params.env_dim)
+    def sampler(key, env_dim, samples, rng):
+        raise Called(env_dim)
 
-    monkeypatch.setattr(cli.analysis, "inside_attack", attack)
+    monkeypatch.setattr(cli.analysis, "sample_inside_attacks", sampler)
     argv = ["security", "--mode", "inside", "--samples", "1", "--env-dim"]
     code, _, err = run_cli(argv + [str(cli.MAX_ENV_DIM + 1)], capsys)
     assert code == 2
     assert "--env-dim must lie in [2, 1024]" in err
     with pytest.raises(Called):
         main(argv + [str(cli.MAX_ENV_DIM)])
+
+
+def test_security_decoy_draws_limit(capsys, monkeypatch):
+    class Called(Exception):
+        pass
+
+    def sim(decoys, strategy, *, trials, seed):
+        raise Called(trials * decoys)
+
+    monkeypatch.setattr(cli.analysis, "outside_attack_sim", sim)
+    argv = ["security", "--mode", "outside", "--decoys"]
+    for decoys, trials in ((1, cli.MAX_DECOY_DRAWS + 1), (10_001, 10_000)):
+        code, out, err = run_cli(argv + [str(decoys), "--trials", str(trials)], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: --trials x --decoys must be at most 100000000\n"
+    with pytest.raises(Called):
+        main(argv + ["10000", "--trials", "10000"])
 
 
 def test_security_requires_mode(capsys):
