@@ -1,4 +1,5 @@
-"""Fidelity metrics, noise sweeps, and the two eavesdropping analyses.
+"""Fidelity metrics, noise sweeps, the two eavesdropping analyses and the
+invariant suite behind ``rsp7 verify``.
 
 The inside attack models a dishonest helper who entangles the sender's
 qubit with a private environment through an isometry assembled from four
@@ -22,6 +23,7 @@ import numpy as np
 from . import channel
 from . import noise as noise_mod
 from . import protocol
+from .linalg import check_density
 from .noise import (
     ALL_QUBITS,
     TRANSMITTED_QUBITS,
@@ -586,3 +588,108 @@ def discrepancy_report() -> tuple[DiscrepancyEntry, ...]:
         )
     )
     return tuple(entries)
+
+
+# ---------------------------------------------------------------------------
+# Invariant suite: the checks ``rsp7 verify`` prints.
+
+#: Largest residual an invariant check accepts.
+CHECK_TOL = 1e-12
+
+#: alpha = beta = 1/sqrt(2): every branch has probability 1/16.
+BALANCED_TARGET = TargetState(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
+
+
+@dataclass(frozen=True)
+class InvariantCheck:
+    """One PASS/FAIL line of ``rsp7 verify``."""
+
+    name: str
+    passed: bool
+    detail: str
+    notes: tuple[str, ...] = ()  # lines printed indented under the check
+
+
+def _within(name: str, residual: float, detail: str) -> InvariantCheck:
+    return InvariantCheck(name, bool(residual <= CHECK_TOL), detail)
+
+
+def invariant_checks() -> tuple[InvariantCheck, ...]:
+    """Every invariant of the channel, the recovery table and the noise
+    machinery, in printed order; the random targets come from one fixed seed."""
+    rng = np.random.default_rng(20240817)
+    psi = channel.build_channel()
+    nonzero = np.abs(psi) > CHECK_TOL
+    mags = np.abs(psi[nonzero])
+    amp_dev = float(np.max(np.abs(mags - 1.0 / (4.0 * math.sqrt(2.0)))))
+    passed = bool(nonzero.sum() == 32 and amp_dev <= CHECK_TOL)
+    checks = [InvariantCheck("channel amplitudes", passed,
+                             f"{int(nonzero.sum())} entries at {np.mean(mags):.12f}")]
+    dev = abs(float(np.linalg.norm(psi)) - 1.0)
+    checks.append(_within("channel normalization", dev, f"residual {dev:.3e}"))
+    dev = max(channel.verify_factorization(TargetState.random(rng)) for _ in range(10))
+    checks.append(_within("factorization residual", dev,
+                          f"max over 10 random targets {dev:.3e}"))
+    dev = channel.verify_grouped_form().residual_corrected
+    checks.append(_within("grouped-form reconstruction", dev,
+                          f"corrected-prefactor residual {dev:.3e}"))
+
+    report = protocol.table_report()
+    n_ok = sum(r.gate_defect <= protocol.GATE_TOL for r in report.rules)
+    notes = [f"repaired {r.key.label()}: printed gates [{' '.join(r.printed_gates)}] "
+             f"defect {r.printed_gate_defect:.3f}, now [{' '.join(r.gates)}]"
+             for r in report.repaired]
+    notes += [f"rekeyed  {r.key.label()}: printed helper label ({','.join(r.printed_pair)}) "
+              f"never occurs" for r in report.rekeyed]
+    checks.append(InvariantCheck("recovery table", n_ok == 16,
+                                 f"{n_ok}/16 rows verified or repaired", tuple(notes)))
+
+    branches = protocol.enumerate_branches(BALANCED_TARGET)
+    dev = max(abs(b.branch_probability - 1.0 / 16.0) for b in branches)
+    checks.append(_within("branch probabilities", dev, f"max |p - 1/16| = {dev:.3e}"))
+    for _ in range(5):
+        branches += protocol.enumerate_branches(TargetState.random(rng))
+    dev = max(abs(b.fidelity - 1.0) for b in branches)
+    checks.append(_within("noiseless fidelity", dev,
+                          f"max |F - 1| over 6 targets x 16 branches = {dev:.3e}"))
+
+    dev = max(noise_mod.kraus_operators(kind, float(eta)).completeness_residual()
+              for kind in NoiseKind for eta in np.linspace(0.0, 1.0, 21))
+    checks.append(_within("Kraus completeness", dev, f"max residual on 21-point grid {dev:.3e}"))
+    rho = check_density(noise_mod.evolved_state(NoiseSpec(NoiseKind.BIT_FLIP, 0.3)))
+    checks.append(InvariantCheck(
+        "exact evolution invariants", rho.within(),
+        f"hermiticity {rho.hermiticity_residual:.3e}, trace {rho.trace_residual:.3e}, "
+        f"min eigenvalue {rho.min_eigenvalue:.3e}",
+    ))
+
+    eta = 0.4  # closed-form traces of the two-term truncation
+    base = (1.0 - eta) ** 7
+    traces = dict.fromkeys(
+        (NoiseKind.BIT_FLIP, NoiseKind.PHASE_FLIP, NoiseKind.BIT_PHASE_FLIP), base + eta ** 7
+    )
+    traces[NoiseKind.PHASE_DAMPING] = base + 2.0 * eta ** 7 / 32.0
+    traces[NoiseKind.DEPOLARIZING] = base + 3.0 * (eta / 3.0) ** 7
+    dev = max(abs(noise_mod.truncated_channel_state(NoiseSpec(kind, eta))[1] - want)
+              for kind, want in traces.items())
+    checks.append(_within("truncated trace identities", dev,
+                          f"max residual at eta=0.4 over 5 closed forms {dev:.3e}"))
+    dev = max(
+        abs(branch_fidelity(BALANCED_TARGET, ALL_OUTCOME_KEYS[0], NoiseSpec(kind, 0.0), m) - 1.0)
+        for kind in NoiseKind for m in EvolutionModel
+    )
+    checks.append(_within("noiseless limit of noise machinery", dev,
+                          f"max |F - 1| = {dev:.3e}"))
+    return tuple(checks)
+
+
+def continuity_modulus(
+    target: TargetState,
+    kind: NoiseKind,
+    etas: np.ndarray,
+    model: EvolutionModel = EvolutionModel.EXACT,
+) -> float:
+    """Largest slope of the averaged fidelity between neighbouring points
+    of an increasing eta grid, from one engine call over the grid."""
+    f = _averaged(noise_mod.branch_blocks(target, kind, etas, ALL_QUBITS, model), target)
+    return float(np.max(np.abs(np.diff(f)) / np.diff(etas)))

@@ -18,9 +18,9 @@ from typing import Callable, Collection, Optional, Sequence, TextIO
 
 import numpy as np
 
-from . import analysis, channel, noise, protocol
+from . import analysis, protocol
 from .analysis import QubitScope, SweepConfig, SweepModel, SweepRow
-from .noise import EvolutionModel, NoiseKind, NoiseSpec
+from .noise import NoiseKind
 from .protocol import ImpossibleBranchError, OutcomeKey, TargetState
 
 EXIT_OK = 0
@@ -325,24 +325,21 @@ def _parse_forced_key(text: str) -> OutcomeKey:
     return OutcomeKey(alice, charlie, david)
 
 
+def _valid_seed(seed: Optional[int]) -> Optional[int]:
+    """A --seed value checked where it is used: numpy takes no negative seed."""
+    if seed is not None and seed < 0:
+        raise UsageError("--seed must be a non-negative integer")
+    return seed
+
+
 def _cmd_run(opts: _Options, stdout: TextIO) -> int:
     target = _resolve_target(opts)
     seed = opts.get("seed", int)
     forced_text = opts.get("force-outcome", str)
     if (seed is None) == (forced_text is None):
         raise UsageError("provide exactly one of --seed or --force-outcome")
-    forced = None
-    if forced_text is not None:
-        try:
-            forced = _parse_forced_key(forced_text)
-        except ImpossibleBranchError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_IMPOSSIBLE_BRANCH
-    try:
-        transcript = protocol.run_rsp(target, seed=seed, forced_key=forced)
-    except ImpossibleBranchError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IMPOSSIBLE_BRANCH
+    forced = None if forced_text is None else _parse_forced_key(forced_text)
+    transcript = protocol.run_rsp(target, seed=_valid_seed(seed), forced_key=forced)
     amps = " ".join(_fmt_amplitude(a) for a in transcript.bob_state)
     print(f"outcome: {transcript.outcome.label()}", file=stdout)
     print(f"probability: {_fmt(transcript.branch_probability)}", file=stdout)
@@ -369,13 +366,7 @@ def _cmd_sweep(opts: _Options, stdout: TextIO) -> int:
     target = _resolve_target(opts)
     kinds = _parse_kinds(opts.get("noise", str, "all"))
     branch_text = opts.get("branch", str, "averaged")
-    branch = None
-    if branch_text != "averaged":
-        try:
-            branch = _parse_forced_key(branch_text)
-        except ImpossibleBranchError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_IMPOSSIBLE_BRANCH
+    branch = None if branch_text == "averaged" else _parse_forced_key(branch_text)
     model = _choice(opts, "model", SweepModel, "both")
     scope = _choice(opts, "scope", QubitScope, "all")
     try:
@@ -414,139 +405,16 @@ def _cmd_sweep(opts: _Options, stdout: TextIO) -> int:
     return EXIT_OK
 
 
-def _check(lines: list, name: str, ok: bool, detail: str) -> bool:
-    lines.append(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-    return ok
-
-
 def _cmd_verify(opts: _Options, stdout: TextIO) -> int:
-    lines: list[str] = []
-    ok = True
-    rng = np.random.default_rng(20240817)
-
-    psi = channel.build_channel()
-    nonzero = np.abs(psi) > 1e-12
-    mags = np.abs(psi[nonzero])
-    amp = 1.0 / (4.0 * math.sqrt(2.0))
-    ok &= _check(
-        lines,
-        "channel amplitudes",
-        nonzero.sum() == 32 and float(np.max(np.abs(mags - amp))) <= 1e-12,
-        f"{int(nonzero.sum())} entries at {np.mean(mags):.12f}",
-    )
-    norm_residual = abs(float(np.linalg.norm(psi)) - 1.0)
-    ok &= _check(lines, "channel normalization", norm_residual <= 1e-12,
-                 f"residual {norm_residual:.3e}")
-
-    worst_fact = 0.0
-    for _ in range(10):
-        worst_fact = max(
-            worst_fact, channel.verify_factorization(TargetState.random(rng))
-        )
-    ok &= _check(lines, "factorization residual", worst_fact <= 1e-12,
-                 f"max over 10 random targets {worst_fact:.3e}")
-
-    grouped = channel.verify_grouped_form()
-    ok &= _check(lines, "grouped-form reconstruction",
-                 grouped.residual_corrected <= 1e-12,
-                 f"corrected-prefactor residual {grouped.residual_corrected:.3e}")
-
-    report = protocol.table_report()
-    n_ok = sum(
-        1 for r in report.rules
-        if protocol._sequence_defect(r.gates, protocol._block_pair(r.key)) <= 1e-10
-    )
-    ok &= _check(lines, "recovery table", n_ok == 16,
-                 f"{n_ok}/16 rows verified or repaired")
-    for r in report.repaired:
-        lines.append(
-            f"      repaired {r.key.label()}: printed gates "
-            f"[{' '.join(r.printed_gates or ())}] defect {r.printed_gate_defect:.3f}, "
-            f"now [{' '.join(r.gates)}]"
-        )
-    for r in report.rekeyed:
-        c, d = r.printed_pair or ("?", "?")
-        lines.append(
-            f"      rekeyed  {r.key.label()}: printed helper label ({c},{d}) never occurs"
-        )
-
-    t = TargetState(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
-    branches = protocol.enumerate_branches(t)
-    p_dev = max(abs(b.branch_probability - 1.0 / 16.0) for b in branches)
-    f_dev = max(abs(b.fidelity - 1.0) for b in branches)
-    ok &= _check(lines, "branch probabilities", p_dev <= 1e-12,
-                 f"max |p - 1/16| = {p_dev:.3e}")
-    worst_f = f_dev
-    for _ in range(5):
-        worst_f = max(
-            worst_f,
-            max(abs(b.fidelity - 1.0)
-                for b in protocol.enumerate_branches(TargetState.random(rng))),
-        )
-    ok &= _check(lines, "noiseless fidelity", worst_f <= 1e-12,
-                 f"max |F - 1| over 6 targets x 16 branches = {worst_f:.3e}")
-
-    worst_c = 0.0
-    for kind in NoiseKind:
-        for eta in np.linspace(0.0, 1.0, 21):
-            worst_c = max(
-                worst_c,
-                noise.kraus_operators(kind, float(eta)).completeness_residual(),
-            )
-    ok &= _check(lines, "Kraus completeness", worst_c <= 1e-12,
-                 f"max residual on 21-point grid {worst_c:.3e}")
-
-    from .linalg import check_density
-
-    rep = check_density(noise.evolved_state(NoiseSpec(NoiseKind.BIT_FLIP, 0.3)))
-    ok &= _check(
-        lines, "exact evolution invariants", rep.within(),
-        f"hermiticity {rep.hermiticity_residual:.3e}, trace {rep.trace_residual:.3e}, "
-        f"min eigenvalue {rep.min_eigenvalue:.3e}",
-    )
-
-    # closed-form traces of the two-term truncation at eta = 0.4
-    eta = 0.4
-    base = (1.0 - eta) ** 7
-    expected_tr = {
-        NoiseKind.BIT_FLIP: base + eta ** 7,
-        NoiseKind.PHASE_FLIP: base + eta ** 7,
-        NoiseKind.BIT_PHASE_FLIP: base + eta ** 7,
-        NoiseKind.PHASE_DAMPING: base + 2.0 * eta ** 7 / 32.0,
-        NoiseKind.DEPOLARIZING: base + 3.0 * (eta / 3.0) ** 7,
-    }
-    worst_tr = 0.0
-    for kind, want in expected_tr.items():
-        _, tr = noise.truncated_channel_state(NoiseSpec(kind, eta))
-        worst_tr = max(worst_tr, abs(tr - want))
-    ok &= _check(lines, "truncated trace identities", worst_tr <= 1e-12,
-                 f"max residual at eta=0.4 over 5 closed forms {worst_tr:.3e}")
-
-    worst_eta0 = 0.0
-    key = protocol.ALL_OUTCOME_KEYS[0]
-    for kind in NoiseKind:
-        spec0 = NoiseSpec(kind, 0.0)
-        for model in EvolutionModel:
-            f = analysis.branch_fidelity(t, key, spec0, model)
-            worst_eta0 = max(worst_eta0, abs(f - 1.0))
-    ok &= _check(lines, "noiseless limit of noise machinery", worst_eta0 <= 1e-12,
-                 f"max |F - 1| = {worst_eta0:.3e}")
-
-    # empirical continuity modulus of the averaged exact-model fidelity
-    # in eta (informational, no pass criterion attached)
-    grid = np.linspace(0.0, 1.0, 11)
-    vals = [
-        analysis.averaged_fidelity(t, NoiseSpec(NoiseKind.DEPOLARIZING, float(e)),
-                                   EvolutionModel.EXACT)
-        for e in grid
-    ]
-    k_mod = max(abs(vals[i + 1] - vals[i]) / (grid[i + 1] - grid[i])
-                for i in range(len(grid) - 1))
-    lines.append(f"INFO  continuity modulus of averaged fidelity in eta: "
-                 f"K = {k_mod:.6f} (depolarizing, exact model, 11 points)")
-
-    for line in lines:
-        print(line, file=stdout)
+    checks = analysis.invariant_checks()
+    for check in checks:
+        print(f"{'PASS' if check.passed else 'FAIL'}  {check.name}: {check.detail}", file=stdout)
+        for note in check.notes:
+            print(f"      {note}", file=stdout)
+    k_mod = analysis.continuity_modulus(analysis.BALANCED_TARGET, NoiseKind.DEPOLARIZING,
+                                        np.linspace(0.0, 1.0, 11))
+    print(f"INFO  continuity modulus of averaged fidelity in eta: "
+          f"K = {k_mod:.6f} (depolarizing, exact model, 11 points)", file=stdout)
     print("", file=stdout)
     print("discrepancy report (published expressions vs direct construction):",
           file=stdout)
@@ -555,11 +423,14 @@ def _cmd_verify(opts: _Options, stdout: TextIO) -> int:
         print(f"      printed:  {entry.printed}", file=stdout)
         print(f"      computed: {entry.computed}", file=stdout)
         print(f"      residual: {entry.residual:.6f}", file=stdout)
-    return EXIT_OK if ok else 1
+    return EXIT_OK if all(check.passed for check in checks) else 1
 
 
 #: Largest attack environment: the inside attack builds (2d) x (2d) matrices.
 MAX_ENV_DIM = 1024
+
+#: Largest --samples of the inside attack: it holds one 8-byte purity per sample.
+MAX_INSIDE_SAMPLES = 10**7
 
 #: Largest --trials x --decoys: the outside attack holds about 20 bytes per draw.
 MAX_DECOY_DRAWS = 10**8
@@ -572,10 +443,10 @@ def _cmd_security(opts: _Options, stdout: TextIO) -> int:
         env_dim = opts.get("env-dim", int, 2)
         if not 2 <= env_dim <= MAX_ENV_DIM:
             raise UsageError(f"--env-dim must lie in [2, {MAX_ENV_DIM}]")
-        target = TargetState(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
         key = protocol.OutcomeKey(1, "00", "00")
         if opts.get("trivial", bool, False):
-            res = analysis.inside_attack(target, key, analysis.AttackParams.trivial(env_dim))
+            res = analysis.inside_attack(analysis.BALANCED_TARGET, key,
+                                         analysis.AttackParams.trivial(env_dim))
             alt = analysis.inside_attack(TargetState(0.6, 0.8), key,
                                          analysis.AttackParams.trivial(env_dim))
             same_env = float(np.max(np.abs(res.env_state - alt.env_state)))
@@ -589,7 +460,9 @@ def _cmd_security(opts: _Options, stdout: TextIO) -> int:
         samples = opts.get("samples", int, 100)
         if samples < 1:
             raise UsageError("--samples must be at least 1")
-        rng = np.random.default_rng(seed)
+        if samples > MAX_INSIDE_SAMPLES:
+            raise UsageError(f"--samples must be at most {MAX_INSIDE_SAMPLES}")
+        rng = np.random.default_rng(_valid_seed(seed))
         arr, worst_residual = analysis.sample_inside_attacks(key, env_dim, samples, rng)
         print(f"attack: sampled entangling maps (n={samples}, env_dim={env_dim}, seed={seed})",
               file=stdout)
@@ -611,7 +484,8 @@ def _cmd_security(opts: _Options, stdout: TextIO) -> int:
             raise UsageError("--trials must be at least 1")
         if trials * decoys > MAX_DECOY_DRAWS:
             raise UsageError(f"--trials x --decoys must be at most {MAX_DECOY_DRAWS}")
-        est = analysis.outside_attack_sim(decoys, strategy, trials=trials, seed=seed)
+        est = analysis.outside_attack_sim(decoys, strategy, trials=trials,
+                                          seed=_valid_seed(seed))
         ana = analysis.analytic_detection_probability(decoys)
         print(f"attack: {strategy.value} on {decoys} decoy qubits "
               f"({trials} trials, seed={seed})", file=stdout)
@@ -713,6 +587,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except ImpossibleBranchError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_IMPOSSIBLE_BRANCH
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO

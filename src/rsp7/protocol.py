@@ -34,6 +34,8 @@ from .linalg import apply_to_qubits  # noqa: F401  bench/tracing.py wraps protoc
 _ORTHO_TOL = 1e-12
 #: A branch whose probability falls below this floor counts as impossible.
 MIN_BRANCH_PROBABILITY = 1e-14
+#: Largest ``_sequence_defect`` of a gate list that counts as a correct recovery.
+GATE_TOL = 1e-10
 
 
 class ImpossibleBranchError(RuntimeError):
@@ -244,6 +246,7 @@ class RecoveryRule:
     printed_pair: Optional[tuple[str, str]] = None
     printed_gates: Optional[tuple[str, ...]] = None
     printed_gate_defect: float = 0.0
+    gate_defect: float = 0.0  # defect of ``gates`` themselves, at most GATE_TOL
 
 
 @dataclass(frozen=True)
@@ -303,7 +306,7 @@ def _search_sequence(blocks: tuple[np.ndarray, np.ndarray]) -> tuple[str, ...]:
     is deterministic.
     """
     start = (blocks[0], blocks[1])
-    if _pair_defect(*start) <= 1e-10:
+    if _pair_defect(*start) <= GATE_TOL:
         return ()
     seen = {_canon(*start)}
     queue = deque([((), start)])
@@ -315,7 +318,7 @@ def _search_sequence(blocks: tuple[np.ndarray, np.ndarray]) -> tuple[str, ...]:
             m = GATE_MATRICES[tok]
             nxt = (m @ w0, m @ w1)
             cand = gates + (tok,)
-            if _pair_defect(*nxt) <= 1e-10:
+            if _pair_defect(*nxt) <= GATE_TOL:
                 return cand
             sig = _canon(*nxt)
             if sig not in seen:
@@ -373,14 +376,14 @@ def _build_table() -> TableReport:
         coeffs, gates, printed_pair = claimed[key]
         blocks = _block_pair(key)
         defect = _sequence_defect(gates, blocks)
-        if defect <= 1e-10:
+        if defect <= GATE_TOL:
             status = "verified" if printed_pair is None else "rekeyed"
-            final = tuple(gates)
+            final, final_defect = tuple(gates), defect
             printed_gates = None if printed_pair is None else tuple(gates)
         else:
-            repaired = _search_sequence(blocks)
             status = "repaired" if printed_pair is None else "rekeyed+repaired"
-            final = repaired
+            final = _search_sequence(blocks)
+            final_defect = _sequence_defect(final, blocks)
             printed_gates = tuple(gates)
         rules.append(
             RecoveryRule(
@@ -390,6 +393,7 @@ def _build_table() -> TableReport:
                 printed_pair=printed_pair,
                 printed_gates=printed_gates,
                 printed_gate_defect=float(defect),
+                gate_defect=float(final_defect),
             )
         )
     return TableReport(rules=tuple(rules))

@@ -163,6 +163,33 @@ def test_averaged_fidelity_is_weighted_branch_average():
     assert_allclose(got, want, atol=1e-12)
 
 
+def test_continuity_modulus_is_the_largest_grid_slope():
+    etas = np.linspace(0.0, 1.0, 11)
+    f = [averaged_fidelity(BELL, NoiseSpec(NoiseKind.DEPOLARIZING, e)) for e in etas]
+    want = max(abs(f[i + 1] - f[i]) / (etas[i + 1] - etas[i]) for i in range(10))
+    got = analysis.continuity_modulus(BELL, NoiseKind.DEPOLARIZING, etas)
+    assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_invariant_checks_pass_in_printed_order():
+    checks = analysis.invariant_checks()
+    assert [c.name for c in checks] == [
+        "channel amplitudes",
+        "channel normalization",
+        "factorization residual",
+        "grouped-form reconstruction",
+        "recovery table",
+        "branch probabilities",
+        "noiseless fidelity",
+        "Kraus completeness",
+        "exact evolution invariants",
+        "truncated trace identities",
+        "noiseless limit of noise machinery",
+    ]
+    assert [c for c in checks if not c.passed] == []
+    assert [len(c.notes) for c in checks] == [0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0]
+
+
 # --------------------------------------------------------------------------
 # Inside attack.
 

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from rsp7 import cli
+from rsp7 import channel, cli
 from rsp7.cli import main
 from rsp7.protocol import OutcomeKey, TargetState
 
@@ -81,11 +81,37 @@ def test_run_non_finite_amplitudes(capsys):
         assert err.count("\n") == 1 and "finite" in err
 
 
-def test_run_impossible_forced_branch(capsys):
-    code, _, err = run_cli(["run", "--alpha", "1", "--beta", "0",
-                            "--force-outcome", "U1,00,01"], capsys)
-    assert code == 3
-    assert "never occurs" in err
+SEED_MESSAGE = "--seed must be a non-negative integer"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    pytest.param(["run", "--alpha", "1", "--beta", "0", "--force-outcome", "U1,00,01"], 3,
+                 "forced branch U1,00,01 has probability 0.000000000000; "
+                 "helper pattern (00,01) never occurs", id="run-impossible-forced-branch"),
+    pytest.param(["sweep", "--alpha", "1", "--beta", "0", "--branch", "U1,10,11",
+                  "--out", "{tmp}/never.csv"], 3,
+                 "forced branch U1,10,11 has probability 0.000000000000; "
+                 "helper pattern (10,11) never occurs", id="sweep-impossible-branch"),
+    pytest.param(["run", "--alpha", "1", "--beta", "0", "--seed", "-1"], 2, SEED_MESSAGE,
+                 id="run-negative-seed"),
+    pytest.param(["run", "--config", "{tmp}/seed.cfg"], 2, SEED_MESSAGE,
+                 id="run-negative-seed-in-config"),
+    pytest.param(["security", "--mode", "inside", "--seed", "-1"], 2, SEED_MESSAGE,
+                 id="inside-negative-seed"),
+    pytest.param(["security", "--mode", "outside", "--seed", "-1", "--trials", "10"], 2,
+                 SEED_MESSAGE, id="outside-negative-seed"),
+    pytest.param(["security", "--mode", "inside", "--samples", str(cli.MAX_INSIDE_SAMPLES + 1)],
+                 2, "--samples must be at most 10000000", id="inside-samples-cap"),
+])
+def test_bad_input_exits_without_traceback(tmp_path, capsys, monkeypatch, argv, code, message):
+    def no_sampling(*args):
+        raise AssertionError("attacks were sampled before the input was checked")
+
+    monkeypatch.setattr(cli.analysis, "sample_inside_attacks", no_sampling)
+    (tmp_path / "seed.cfg").write_text("alpha=1\nbeta=0\nseed=-1\n")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert run_cli(argv, capsys) == (code, "", f"error: {message}\n")
+    assert not (tmp_path / "never.csv").exists()
 
 
 def test_argparse_failures_return_two(capsys):
@@ -331,6 +357,17 @@ def test_verify_passes(capsys):
     assert "rekeyed" in out
 
 
+def test_verify_reports_a_failing_check(capsys, monkeypatch):
+    broken = channel.GroupedFormReport(
+        residual_corrected=1e-6, residual_printed=0.875, printed_norm=0.125
+    )
+    monkeypatch.setattr(channel, "verify_grouped_form", lambda: broken)
+    code, out, err = run_cli(["verify"], capsys)
+    assert code == 1 and err == ""
+    assert "FAIL  grouped-form reconstruction: corrected-prefactor residual 1.000e-06\n" in out
+    assert out.count("FAIL") == 1
+
+
 # --------------------------------------------------------------------------
 # security
 
@@ -391,6 +428,18 @@ def test_security_env_dim_limit(capsys, monkeypatch):
     assert "--env-dim must lie in [2, 1024]" in err
     with pytest.raises(Called):
         main(argv + [str(cli.MAX_ENV_DIM)])
+
+
+def test_security_inside_samples_limit(capsys, monkeypatch):
+    def sampler(key, env_dim, samples, rng):
+        assert samples == cli.MAX_INSIDE_SAMPLES
+        return np.array([0.5]), 0.0
+
+    monkeypatch.setattr(cli.analysis, "sample_inside_attacks", sampler)
+    code, out, err = run_cli(["security", "--mode", "inside", "--samples",
+                              str(cli.MAX_INSIDE_SAMPLES)], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("attack: sampled entangling maps (n=10000000, env_dim=2, seed=0)")
 
 
 def test_security_decoy_draws_limit(capsys, monkeypatch):

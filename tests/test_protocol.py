@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rsp7 import channel
+from rsp7 import channel, protocol
 from rsp7.linalg import apply_to_qubits
 from rsp7.protocol import (
     ALL_OUTCOME_KEYS,
@@ -163,6 +163,11 @@ def test_table_report_structure():
     assert {r.key for r in rekeyed} == {OutcomeKey(1, "01", "11"),
                                         OutcomeKey(2, "01", "11")}
     assert all(r.printed_pair == ("10", "11") for r in rekeyed)
+    assert all(r.gate_defect <= protocol.GATE_TOL for r in rep.rules)
+    fixed = repaired[0]
+    assert fixed.gate_defect == protocol._sequence_defect(
+        fixed.gates, protocol._block_pair(fixed.key)
+    )
 
 
 def test_every_rule_maps_blocks_to_target_form():
