@@ -89,9 +89,14 @@ class QubitScope(enum.Enum):
 #: (numerically) zero probability.
 ERROR_MARKER = "impossible-branch"
 
-#: Largest eta grid: ``branch_blocks`` holds the whole grid at once, about
-#: 184 KB per point for a ``--model both`` sweep.
+#: Largest eta grid.  A sweep's memory grows with its rows only: the engine
+#: holds one slice of blocks, about 184 KB per point for ``--model both``.
 MAX_ETA_STEPS = 10_001
+
+#: Most eta points per ``branch_blocks`` call of a sweep.  The grid is cut
+#: into near-equal slices, since numpy reduces a one-point grid in another
+#: order; from 3 on, no slice of a grid of 2 or more points has one point.
+_SWEEP_SLICE = 64
 
 
 @dataclass(frozen=True)
@@ -202,7 +207,9 @@ def _sweep_cells(
 def fidelity_sweep(config: SweepConfig) -> tuple[SweepRow, ...]:
     """One SweepRow per (kind, eta), sorted by (kind value, eta).
 
-    Each (kind, model) pair is one engine call over the whole eta grid.
+    Each (kind, model) pair calls the engine once per slice of at most
+    ``_SWEEP_SLICE`` grid points, so memory stays bounded on any grid;
+    the rows equal those of one call over the whole grid.
     A branch whose probability vanishes at some grid point produces a row
     carrying an error marker instead of aborting the sweep.  With scope
     restricted to the transmitted qubits the truncated column is
@@ -214,6 +221,7 @@ def fidelity_sweep(config: SweepConfig) -> tuple[SweepRow, ...]:
         and config.qubit_scope is QubitScope.ALL_SEVEN
     )
     etas = config.etas()
+    slices = np.array_split(etas, -(-len(etas) // _SWEEP_SLICE))
     rows = []
     for kind in config.kinds:
         columns = []
@@ -224,10 +232,13 @@ def fidelity_sweep(config: SweepConfig) -> tuple[SweepRow, ...]:
             if not wanted:
                 columns.append([(None, None)] * len(etas))
                 continue
-            blocks = noise_mod.branch_blocks(
-                config.target, kind, etas, config.qubit_scope.qubits, model
-            )
-            columns.append(_sweep_cells(blocks, config.target, config.branch))
+            cells = []
+            for part in slices:
+                blocks = noise_mod.branch_blocks(
+                    config.target, kind, part, config.qubit_scope.qubits, model
+                )
+                cells += _sweep_cells(blocks, config.target, config.branch)
+            columns.append(cells)
         for eta, (f_exact, err_exact), (f_trunc, err_trunc) in zip(etas, *columns):
             rows.append(
                 SweepRow(
@@ -251,7 +262,8 @@ def fidelity_sweep(config: SweepConfig) -> tuple[SweepRow, ...]:
 #: Largest deviation from V^dagger V = I accepted for an attack isometry.
 ISOMETRY_TOL = 1e-10
 
-#: Entries of m m^dagger one chunk of ``sample_inside_attacks`` holds (at least one sample).
+#: Entries of m = V w, (2 env_dim) x 4 per sample and the largest array of a
+#: chunk, one chunk of ``sample_inside_attacks`` holds (at least one sample).
 _ATTACK_CHUNK_ENTRIES = 2**22
 
 
@@ -376,9 +388,11 @@ def inside_attack(
     weight = float(np.trace(raw).real)
     rho_ae = raw / weight
     rho_ae.setflags(write=False)
+    # Tr((m m^dagger)^2) = Tr((m^dagger m)^2): the purity from a 4x4 matrix
+    gram = m.conj().T @ m
 
-    basis = alice_basis(target)
-    cross = complex(np.vdot(v @ basis.u1, v @ basis.u2))
+    u1, u2 = alice_basis(target)
+    cross = complex(np.vdot(v @ u1, v @ u2))
     r4 = rho_ae.reshape(2, d, 2, d)
     alice_state = np.ascontiguousarray(np.einsum("adbd->ab", r4))
     env_state = np.ascontiguousarray(np.einsum("adae->de", r4))
@@ -386,7 +400,7 @@ def inside_attack(
     env_state.setflags(write=False)
     return InsideAttackResult(
         rho_ae=rho_ae,
-        purity=purity(rho_ae),
+        purity=purity(gram / np.trace(gram).real),
         isometry_residual=residual,
         raw_branch_weight=weight,
         cross_overlap=cross,
@@ -407,7 +421,7 @@ def sample_inside_attacks(
     if samples < 1 or env_dim < 2:
         raise ValueError(f"need samples >= 1 and env_dim >= 2, got {samples}, {env_dim}")
     w = channel.party_layout(channel.build_channel())[:, key.outcome_index % 16]
-    per_chunk = max(1, _ATTACK_CHUNK_ENTRIES // (2 * env_dim) ** 2)
+    per_chunk = max(1, _ATTACK_CHUNK_ENTRIES // (8 * env_dim))
     purities = np.empty(samples)
     worst = 0.0
     for start in range(0, samples, per_chunk):
@@ -417,8 +431,8 @@ def sample_inside_attacks(
             raise ValueError(f"sampled map misses V^dagger V = I by {residual:.3e}")
         worst = max(worst, residual)
         m = v @ w
-        raw = m @ m.conj().swapaxes(1, 2)
-        rho = raw / np.trace(raw, axis1=1, axis2=2).real[:, None, None]
+        gram = m.conj().swapaxes(1, 2) @ m  # the 4x4 matrix inside_attack takes the purity from
+        rho = gram / np.trace(gram, axis1=1, axis2=2).real[:, None, None]
         purities[start : start + len(v)] = np.einsum("nij,nji->n", rho, rho).real
     return purities, worst
 
@@ -547,7 +561,7 @@ def discrepancy_report() -> tuple[DiscrepancyEntry, ...]:
     )
 
     layout = channel.party_layout(channel.build_channel())
-    for rule in protocol.table_report().rules:
+    for rule in protocol.table_report():
         if "repaired" in rule.status:
             entries.append(
                 DiscrepancyEntry(
@@ -634,13 +648,13 @@ def invariant_checks() -> tuple[InvariantCheck, ...]:
     checks.append(_within("grouped-form reconstruction", dev,
                           f"corrected-prefactor residual {dev:.3e}"))
 
-    report = protocol.table_report()
-    n_ok = sum(r.gate_defect <= protocol.GATE_TOL for r in report.rules)
+    rules = protocol.table_report()
+    n_ok = sum(r.gate_defect <= protocol.GATE_TOL for r in rules)
     notes = [f"repaired {r.key.label()}: printed gates [{' '.join(r.printed_gates)}] "
              f"defect {r.printed_gate_defect:.3f}, now [{' '.join(r.gates)}]"
-             for r in report.repaired]
+             for r in rules if "repaired" in r.status]
     notes += [f"rekeyed  {r.key.label()}: printed helper label ({','.join(r.printed_pair)}) "
-              f"never occurs" for r in report.rekeyed]
+              f"never occurs" for r in rules if "rekeyed" in r.status]
     checks.append(InvariantCheck("recovery table", n_ok == 16,
                                  f"{n_ok}/16 rows verified or repaired", tuple(notes)))
 
@@ -653,8 +667,8 @@ def invariant_checks() -> tuple[InvariantCheck, ...]:
     checks.append(_within("noiseless fidelity", dev,
                           f"max |F - 1| over 6 targets x 16 branches = {dev:.3e}"))
 
-    dev = max(noise_mod.kraus_operators(kind, float(eta)).completeness_residual()
-              for kind in NoiseKind for eta in np.linspace(0.0, 1.0, 21))
+    dev = max(noise_mod.completeness_residual(ops) for kind in NoiseKind
+              for ops in noise_mod.kraus_operators(kind, np.linspace(0.0, 1.0, 21)))
     checks.append(_within("Kraus completeness", dev, f"max residual on 21-point grid {dev:.3e}"))
     rho = check_density(noise_mod.evolved_state(NoiseSpec(NoiseKind.BIT_FLIP, 0.3)))
     checks.append(InvariantCheck(

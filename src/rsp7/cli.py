@@ -390,8 +390,7 @@ def _cmd_sweep(opts: _Options, stdout: TextIO) -> int:
             rows = analysis.fidelity_sweep(config)
             write_sweep_csv(f, rows, target)
     except OSError as e:
-        print(f"error: cannot write {path}: {e}", file=sys.stderr)
-        return EXIT_IO
+        raise OSError(f"cannot write {path}: {e}") from e
     print(f"wrote {len(rows)} rows to {path}", file=stdout)
     if opts.get("svg", bool, False):
         svg_path = os.path.splitext(path)[0] + ".svg"
@@ -399,8 +398,7 @@ def _cmd_sweep(opts: _Options, stdout: TextIO) -> int:
             with open(svg_path, "w", encoding="utf-8", newline="") as f:
                 write_sweep_svg(f, rows)
         except OSError as e:
-            print(f"error: cannot write {svg_path}: {e}", file=sys.stderr)
-            return EXIT_IO
+            raise OSError(f"cannot write {svg_path}: {e}") from e
         print(f"wrote chart to {svg_path}", file=stdout)
     return EXIT_OK
 
@@ -426,7 +424,7 @@ def _cmd_verify(opts: _Options, stdout: TextIO) -> int:
     return EXIT_OK if all(check.passed for check in checks) else 1
 
 
-#: Largest attack environment: the inside attack builds (2d) x (2d) matrices.
+#: Largest attack environment: ``inside_attack`` builds the (2d) x (2d) attacker state.
 MAX_ENV_DIM = 1024
 
 #: Largest --samples of the inside attack: it holds one 8-byte purity per sample.
@@ -443,6 +441,12 @@ def _cmd_security(opts: _Options, stdout: TextIO) -> int:
         env_dim = opts.get("env-dim", int, 2)
         if not 2 <= env_dim <= MAX_ENV_DIM:
             raise UsageError(f"--env-dim must lie in [2, {MAX_ENV_DIM}]")
+        samples = opts.get("samples", int, 100)
+        if samples < 1:
+            raise UsageError("--samples must be at least 1")
+        if samples > MAX_INSIDE_SAMPLES:
+            raise UsageError(f"--samples must be at most {MAX_INSIDE_SAMPLES}")
+        _valid_seed(seed)
         key = protocol.OutcomeKey(1, "00", "00")
         if opts.get("trivial", bool, False):
             res = analysis.inside_attack(analysis.BALANCED_TARGET, key,
@@ -457,13 +461,8 @@ def _cmd_security(opts: _Options, stdout: TextIO) -> int:
             print("the attack extracts no information about the prepared state",
                   file=stdout)
             return EXIT_OK
-        samples = opts.get("samples", int, 100)
-        if samples < 1:
-            raise UsageError("--samples must be at least 1")
-        if samples > MAX_INSIDE_SAMPLES:
-            raise UsageError(f"--samples must be at most {MAX_INSIDE_SAMPLES}")
-        rng = np.random.default_rng(_valid_seed(seed))
-        arr, worst_residual = analysis.sample_inside_attacks(key, env_dim, samples, rng)
+        arr, worst_residual = analysis.sample_inside_attacks(key, env_dim, samples,
+                                                             np.random.default_rng(seed))
         print(f"attack: sampled entangling maps (n={samples}, env_dim={env_dim}, seed={seed})",
               file=stdout)
         print(f"attacker-state purity: min {_fmt(arr.min())}  mean {_fmt(arr.mean())}  "

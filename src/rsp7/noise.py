@@ -98,52 +98,54 @@ class NoiseSpec:
         return self.qubits == ALL_QUBITS
 
 
-@dataclass(frozen=True)
-class KrausChannel:
-    operators: tuple[np.ndarray, ...]
-
-    def completeness_residual(self) -> float:
-        acc = np.zeros((2, 2), dtype=np.complex128)
-        for op in self.operators:
-            acc += op.conj().T @ op
-        return float(np.max(np.abs(acc - np.eye(2))))
+#: |0><0| and |1><1|: helper-bit projectors, shared by the damping Kraus sets.
+_P0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
+_P1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
+_P0.setflags(write=False)
+_P1.setflags(write=False)
 
 
-def _frozen2(mat) -> np.ndarray:
-    out = np.array(mat, dtype=np.complex128)
+def kraus_operators(kind: NoiseKind, eta) -> np.ndarray:
+    """The 2x2 operator set of one noise kind at strength eta.
+
+    ``eta`` is a scalar or a 1-D grid, checked whole against [0, 1]; the
+    read-only complex result has shape (n_ops, 2, 2) or
+    (len(eta), n_ops, 2, 2).
+    """
+    eta = np.asarray(eta, dtype=np.float64)
+    if eta.ndim > 1:
+        raise ValueError(f"eta must be a scalar or a 1-D grid, got shape {eta.shape}")
+    bad = ~((0.0 <= eta) & (eta <= 1.0))  # also catches NaN
+    if bad.any():
+        raise ValueError(f"eta must lie in [0, 1], got {float(eta[bad][0])!r}")
+    keep = np.sqrt(1.0 - eta)[..., None, None]
+    flip = np.sqrt(eta)[..., None, None]
+    if kind is NoiseKind.BIT_FLIP:
+        ops = (keep * I2, flip * X)
+    elif kind is NoiseKind.PHASE_FLIP:
+        ops = (keep * I2, flip * Z)
+    elif kind is NoiseKind.BIT_PHASE_FLIP:
+        ops = (keep * I2, flip * Y)
+    elif kind is NoiseKind.AMPLITUDE_DAMPING:
+        ops = (_P0 + keep * _P1, flip * (_P0 @ X))  # sqrt(eta) |0><1|
+    elif kind is NoiseKind.PHASE_DAMPING:
+        ops = (keep * I2, flip * _P0, flip * _P1)
+    elif kind is NoiseKind.DEPOLARIZING:
+        w = np.sqrt(eta / 3.0)[..., None, None]
+        ops = (keep * I2, w * X, w * Y, w * Z)
+    else:
+        raise TypeError(f"unknown noise kind {kind!r}")
+    out = np.stack(ops, axis=-3)
     out.setflags(write=False)
     return out
 
 
-def kraus_operators(kind: NoiseKind, eta: float) -> KrausChannel:
-    """The 2x2 operator set of one noise kind at strength eta."""
-    eta = float(eta)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
-    keep = math.sqrt(1.0 - eta)
-    if kind is NoiseKind.BIT_FLIP:
-        ops = (keep * I2, math.sqrt(eta) * X)
-    elif kind is NoiseKind.PHASE_FLIP:
-        ops = (keep * I2, math.sqrt(eta) * Z)
-    elif kind is NoiseKind.BIT_PHASE_FLIP:
-        ops = (keep * I2, math.sqrt(eta) * Y)
-    elif kind is NoiseKind.AMPLITUDE_DAMPING:
-        ops = (
-            np.array([[1.0, 0.0], [0.0, keep]]),
-            np.array([[0.0, math.sqrt(eta)], [0.0, 0.0]]),
-        )
-    elif kind is NoiseKind.PHASE_DAMPING:
-        ops = (
-            keep * I2,
-            np.diag([math.sqrt(eta), 0.0]),
-            np.diag([0.0, math.sqrt(eta)]),
-        )
-    elif kind is NoiseKind.DEPOLARIZING:
-        w = math.sqrt(eta / 3.0)
-        ops = (keep * I2, w * X, w * Y, w * Z)
-    else:
-        raise TypeError(f"unknown noise kind {kind!r}")
-    return KrausChannel(tuple(_frozen2(op) for op in ops))
+def completeness_residual(ops: np.ndarray) -> float:
+    """Largest entry of |sum_k E_k^dagger E_k - I| for one (n_ops, 2, 2) set."""
+    acc = np.zeros((2, 2), dtype=np.complex128)
+    for op in ops:
+        acc += op.conj().T @ op
+    return float(np.max(np.abs(acc - np.eye(2))))
 
 
 def apply_noise(rho: np.ndarray, spec: NoiseSpec) -> np.ndarray:
@@ -156,7 +158,7 @@ def apply_noise(rho: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     n = n_qubits(rho)
     if spec.qubits[-1] > n:
         raise ValueError(f"spec touches qubit {spec.qubits[-1]} of a {n}-qubit state")
-    ops = kraus_operators(spec.kind, spec.eta).operators
+    ops = kraus_operators(spec.kind, spec.eta)
     for q in spec.qubits:
         rho = sum(apply_to_qubits(op, [q], rho) for op in ops)
     out = np.ascontiguousarray(rho)
@@ -176,7 +178,7 @@ def truncated_channel_state(spec: NoiseSpec) -> tuple[np.ndarray, float]:
             "the uniform-index truncation is defined for noise on all seven qubits"
         )
     psi = channel.build_channel()
-    ops = kraus_operators(spec.kind, spec.eta).operators
+    ops = kraus_operators(spec.kind, spec.eta)
     acc = np.zeros((128, 128), dtype=np.complex128)
     for op in ops:
         v = psi
@@ -201,12 +203,6 @@ def evolved_state(spec: NoiseSpec, model: EvolutionModel = EvolutionModel.EXACT)
     raise TypeError(f"unknown evolution model {model!r}")
 
 
-def _bit_projector(bit: str) -> np.ndarray:
-    p = np.zeros((2, 2), dtype=np.complex128)
-    p[int(bit), int(bit)] = 1.0
-    return p
-
-
 def branch_reduction(rho: np.ndarray, target: TargetState, key: OutcomeKey) -> np.ndarray:
     """Unnormalized receiver-pair state of one branch; trace = branch weight.
 
@@ -215,8 +211,7 @@ def branch_reduction(rho: np.ndarray, target: TargetState, key: OutcomeKey) -> n
     out everything but the receiver pair.  Linear in rho, so weighted
     averages over branches can sum these blocks directly.
     """
-    basis = alice_basis(target)
-    u = basis.u1 if key.alice == 1 else basis.u2
+    u = alice_basis(target)[key.alice - 1]
     rho = apply_to_qubits(np.outer(u, u.conj()), [1], rho)
     for q, bit in (
         (4, key.charlie[0]),
@@ -224,7 +219,7 @@ def branch_reduction(rho: np.ndarray, target: TargetState, key: OutcomeKey) -> n
         (5, key.david[0]),
         (7, key.david[1]),
     ):
-        rho = apply_to_qubits(_bit_projector(bit), [q], rho)
+        rho = apply_to_qubits((_P0, _P1)[int(bit)], [q], rho)
     for tok in recovery_sequence(key):
         rho = apply_to_qubits(gate_matrix(tok), [2, 3], rho)
     return partial_trace(rho, [1, 4, 5, 6, 7])
@@ -270,7 +265,7 @@ def _exact_pair_blocks(
     """
     n_eta = len(ops)
     w = channel.party_layout(channel.build_channel()).reshape(32, 4)
-    bits = np.array([_bit_projector("0"), _bit_projector("1")])
+    bits = np.array([_P0, _P1])
     # phi[e, outcomes so far, unprocessed measured qubits + pair + processed ones]
     phi = w.reshape(1, 1, -1)
     for q in channel.MEASURED_QUBITS:
@@ -326,16 +321,15 @@ def branch_blocks(
     truncated model sums over its at most four uniform-index vectors.
     Shape (len(etas), 16, 4, 4).
     """
-    specs = [NoiseSpec(kind, eta, qubits) for eta in etas]
-    if not specs:
+    if not len(etas):
         raise ValueError("etas must hold at least one value")
-    ops = np.array([kraus_operators(kind, spec.eta).operators for spec in specs])
-    basis = alice_basis(target)
-    senders = np.array([basis.u1, basis.u2])
+    spec = NoiseSpec(kind, etas[0], qubits)  # checks the kind and the qubits once
+    ops = kraus_operators(kind, etas)
+    senders = alice_basis(target)
     if model is EvolutionModel.EXACT:
-        pair = _exact_pair_blocks(ops, specs[0].qubits, senders)
+        pair = _exact_pair_blocks(ops, spec.qubits, senders)
     elif model is EvolutionModel.TRUNCATED:
-        if not specs[0].all_seven:
+        if not spec.all_seven:
             raise UnsupportedConfigurationError(
                 "the truncated model requires noise on all seven qubits"
             )
@@ -397,7 +391,7 @@ def damping_terminal_term(eta: float = 0.5) -> TerminalTermCheck:
     instead shows eta^7 |1111111><1111111|; both candidates are compared
     against the directly constructed term.
     """
-    ops = kraus_operators(NoiseKind.AMPLITUDE_DAMPING, eta).operators
+    ops = kraus_operators(NoiseKind.AMPLITUDE_DAMPING, eta)
     v = channel.build_channel()
     for q in ALL_QUBITS:
         v = apply_to_qubits(ops[1], [q], v)
@@ -442,9 +436,8 @@ def _string_tables(
     pair.  ``weights[j][s']`` = |E_s' Psi|^2 for the prefixes s' over the
     first j + 1 noisy qubits contracts |Psi><Psi| with E_k^dagger E_k.
     """
-    ops = np.array(kraus_operators(spec.kind, spec.eta).operators)
-    basis = alice_basis(target)
-    senders = np.array([basis.u1, basis.u2]).conj()
+    ops = kraus_operators(spec.kind, spec.eta)
+    senders = alice_basis(target).conj()
     # <u_a| on the sender and <bit| on each helper, as (1, 2) rows
     bras = {q: (senders if q == 1 else np.eye(2))[[int(bit)]]
             for q, bit in zip(channel.MEASURED_QUBITS, format(key.outcome_index, "05b"))}

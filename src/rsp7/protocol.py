@@ -89,16 +89,9 @@ class TargetState:
         return cls(phase * math.cos(t), phase * math.sin(t))
 
 
-@dataclass(frozen=True)
-class AliceBasis:
-    """Orthonormal sender basis (u1, u2) for one target."""
-
-    u1: np.ndarray
-    u2: np.ndarray
-
-
-def alice_basis(target: TargetState) -> AliceBasis:
-    """Sender measurement basis u1 = alpha|0> + beta|1>, u2 = alpha|1> - beta|0>.
+def alice_basis(target: TargetState) -> np.ndarray:
+    """Sender measurement basis u1 = alpha|0> + beta|1>, u2 = alpha|1> - beta|0>,
+    as the read-only 2x2 array whose rows are u1 and u2.
 
     Raises ValueError when the pair is not orthonormal, which happens
     exactly when alpha and beta carry a relative complex phase; such
@@ -110,9 +103,9 @@ def alice_basis(target: TargetState) -> AliceBasis:
             "sender basis is not orthonormal: alpha and beta must be real up "
             "to one shared global phase"
         )
-    u1.setflags(write=False)
-    u2.setflags(write=False)
-    return AliceBasis(u1, u2)
+    basis = np.array([u1, u2])
+    basis.setflags(write=False)
+    return basis
 
 
 #: Helper outcome patterns (charlie, david) that occur with nonzero probability.
@@ -249,19 +242,6 @@ class RecoveryRule:
     gate_defect: float = 0.0  # defect of ``gates`` themselves, at most GATE_TOL
 
 
-@dataclass(frozen=True)
-class TableReport:
-    rules: tuple[RecoveryRule, ...]
-
-    @property
-    def repaired(self) -> tuple[RecoveryRule, ...]:
-        return tuple(r for r in self.rules if "repaired" in r.status)
-
-    @property
-    def rekeyed(self) -> tuple[RecoveryRule, ...]:
-        return tuple(r for r in self.rules if "rekeyed" in r.status)
-
-
 def _block_pair(key: OutcomeKey) -> tuple[np.ndarray, np.ndarray]:
     """Collapsed receiver states of a branch at parameters (1,0) and (0,1).
 
@@ -328,7 +308,9 @@ def _search_sequence(blocks: tuple[np.ndarray, np.ndarray]) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=1)
-def _build_table() -> TableReport:
+def table_report() -> tuple[RecoveryRule, ...]:
+    """Audit of all sixteen published rows (verifications, re-keys,
+    repairs), one rule per key in ALL_OUTCOME_KEYS order."""
     claimed: dict[OutcomeKey, tuple] = {}
     orphans = []
     for alice, c, d, coeffs, gates in _PRINTED_ROWS:
@@ -396,22 +378,17 @@ def _build_table() -> TableReport:
                 gate_defect=float(final_defect),
             )
         )
-    return TableReport(rules=tuple(rules))
+    return tuple(rules)
 
 
 def recovery_table() -> dict[OutcomeKey, RecoveryRule]:
-    return {r.key: r for r in _build_table().rules}
-
-
-def table_report() -> TableReport:
-    """Audit of all sixteen published rows (verifications, re-keys, repairs)."""
-    return _build_table()
+    return {r.key: r for r in table_report()}
 
 
 def recovery_sequence(key: OutcomeKey) -> tuple[str, ...]:
     """Gate tokens the receiver applies for the given measurement outcome."""
     try:  # the audited rules follow ALL_OUTCOME_KEYS order
-        return _build_table().rules[ALL_OUTCOME_KEYS.index(key)].gates
+        return table_report()[ALL_OUTCOME_KEYS.index(key)].gates
     except ValueError:
         raise UnknownOutcomeError(f"no recovery rule for outcome {key!r}") from None
 
@@ -505,9 +482,8 @@ def run_rsp(
     """
     if (seed is None) == (forced_key is None):
         raise ValueError("provide exactly one of seed= or forced_key=")
-    basis = alice_basis(target)
     layout = channel.party_layout(channel.build_channel())
-    amp = (np.array([basis.u1, basis.u2]).conj() @ layout.reshape(2, 64)).reshape(2, 16, 4)
+    amp = (alice_basis(target).conj() @ layout.reshape(2, 64)).reshape(2, 16, 4)
     weights = np.einsum("apb,apb->ap", amp, amp.conj()).real
     p_sender = weights.sum(axis=1)
 

@@ -136,6 +136,32 @@ def test_sweep_transmitted_scope_skips_truncated_column():
         assert row.error_truncated is None
 
 
+@pytest.mark.parametrize("branch", [None, OutcomeKey(2, "11", "11")])
+def test_sliced_sweep_rows_equal_one_engine_call(monkeypatch, branch):
+    # 10 points in slices of at most 3 points; the forced branch is
+    # impossible under full amplitude damping at eta = 1
+    config = SweepConfig(kinds=tuple(NoiseKind), target=TargetState(0.6, 0.8),
+                         eta_steps=10, branch=branch)
+    monkeypatch.setattr(analysis, "_SWEEP_SLICE", 10)
+    whole = fidelity_sweep(config)
+    monkeypatch.setattr(analysis, "_SWEEP_SLICE", 3)
+    assert fidelity_sweep(config) == whole
+    assert (analysis.ERROR_MARKER in {r.error_exact for r in whole}) == (branch is not None)
+
+
+def test_sweep_builds_one_kraus_stack_per_engine_call(monkeypatch):
+    calls = []
+    build = noise.kraus_operators
+
+    def counted(kind, eta):
+        calls.append(kind)
+        return build(kind, eta)
+
+    monkeypatch.setattr(noise, "kraus_operators", counted)
+    fidelity_sweep(SweepConfig(kinds=tuple(NoiseKind), target=BELL))
+    assert len(calls) == 2 * len(NoiseKind)  # one per (kind, model)
+
+
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(kinds=(NoiseKind.BIT_FLIP,), target=BELL, eta_steps=1)
@@ -307,7 +333,7 @@ def test_sampled_attack_chunks_keep_the_stream(monkeypatch, per_chunk):
     key, env_dim = OutcomeKey(2, "01", "11"), 3
     rng = np.random.default_rng(11)
     loop = [inside_attack(BELL, key, AttackParams.random(env_dim, rng)) for _ in range(100)]
-    monkeypatch.setattr(analysis, "_ATTACK_CHUNK_ENTRIES", per_chunk * (2 * env_dim) ** 2)
+    monkeypatch.setattr(analysis, "_ATTACK_CHUNK_ENTRIES", per_chunk * 8 * env_dim)
     purities, worst = sample_inside_attacks(key, env_dim, 100, np.random.default_rng(11))
     assert purities.tolist() == [r.purity for r in loop]
     assert worst == max(r.isometry_residual for r in loop)

@@ -102,6 +102,10 @@ SEED_MESSAGE = "--seed must be a non-negative integer"
                  SEED_MESSAGE, id="outside-negative-seed"),
     pytest.param(["security", "--mode", "inside", "--samples", str(cli.MAX_INSIDE_SAMPLES + 1)],
                  2, "--samples must be at most 10000000", id="inside-samples-cap"),
+    pytest.param(["security", "--mode", "inside", "--trivial", "--seed", "-1"], 2, SEED_MESSAGE,
+                 id="inside-trivial-negative-seed"),
+    pytest.param(["security", "--mode", "inside", "--trivial", "--samples", "0"], 2,
+                 "--samples must be at least 1", id="inside-trivial-zero-samples"),
 ])
 def test_bad_input_exits_without_traceback(tmp_path, capsys, monkeypatch, argv, code, message):
     def no_sampling(*args):

@@ -34,8 +34,8 @@ BELL = TargetState(SQ2, SQ2)
 def test_completeness_on_eta_grid():
     for kind in NoiseKind:
         for eta in np.linspace(0.0, 1.0, 21):
-            ch = kraus_operators(kind, float(eta))
-            assert ch.completeness_residual() <= 1e-12, (kind, eta)
+            ops = kraus_operators(kind, float(eta))
+            assert noise.completeness_residual(ops) <= 1e-12, (kind, eta)
 
 
 def test_operator_counts():
@@ -48,17 +48,17 @@ def test_operator_counts():
         NoiseKind.DEPOLARIZING: 4,
     }
     for kind, n in counts.items():
-        assert len(kraus_operators(kind, 0.3).operators) == n
+        assert kraus_operators(kind, 0.3).shape == (n, 2, 2)
 
 
 def test_bit_flip_matrices():
-    ops = kraus_operators(NoiseKind.BIT_FLIP, 0.36).operators
+    ops = kraus_operators(NoiseKind.BIT_FLIP, 0.36)
     assert_allclose(ops[0], 0.8 * np.eye(2), atol=1e-12)
     assert_allclose(ops[1], 0.6 * linalg.X, atol=1e-12)
 
 
 def test_amplitude_damping_eta_one():
-    ops = kraus_operators(NoiseKind.AMPLITUDE_DAMPING, 1.0).operators
+    ops = kraus_operators(NoiseKind.AMPLITUDE_DAMPING, 1.0)
     assert_allclose(ops[0], np.diag([1.0, 0.0]), atol=1e-12)
     want = np.zeros((2, 2))
     want[0, 1] = 1.0
@@ -67,10 +67,38 @@ def test_amplitude_damping_eta_one():
 
 def test_depolarizing_weights():
     eta = 0.27
-    ops = kraus_operators(NoiseKind.DEPOLARIZING, eta).operators
+    ops = kraus_operators(NoiseKind.DEPOLARIZING, eta)
     assert_allclose(ops[0], math.sqrt(1 - eta) * np.eye(2), atol=1e-12)
     for op, pauli in zip(ops[1:], (linalg.X, linalg.Y, linalg.Z)):
         assert_allclose(op, math.sqrt(eta / 3.0) * pauli, atol=1e-12)
+
+
+def test_kraus_grid_matches_scalar_calls():
+    grid = np.linspace(0.0, 1.0, 21)
+    for kind in NoiseKind:
+        stack = kraus_operators(kind, grid)
+        assert stack.shape == (21,) + kraus_operators(kind, 0.5).shape
+        assert stack.dtype == np.complex128 and not stack.flags.writeable
+        for ops, eta in zip(stack, grid):
+            assert ops.tobytes() == kraus_operators(kind, eta).tobytes(), (kind, eta)
+
+
+@pytest.mark.parametrize("kind, etas, error, message", [
+    pytest.param(NoiseKind.BIT_FLIP, [], ValueError, "etas must hold at least one value",
+                 id="empty"),
+    pytest.param(NoiseKind.BIT_FLIP, [0.5, -0.1], ValueError,
+                 "eta must lie in [0, 1], got -0.1", id="negative"),
+    pytest.param(NoiseKind.DEPOLARIZING, np.array([0.0, 0.5, 1.2, 2.0]), ValueError,
+                 "eta must lie in [0, 1], got 1.2", id="above-one"),
+    pytest.param(NoiseKind.PHASE_DAMPING, [0.1, 0.2, float("nan")], ValueError,
+                 "eta must lie in [0, 1], got nan", id="nan"),
+    pytest.param("bit_flip", [0.5], TypeError, "kind must be a NoiseKind, got 'bit_flip'",
+                 id="kind"),
+])
+def test_branch_blocks_rejects_bad_grids(kind, etas, error, message):
+    with pytest.raises(error) as info:
+        noise.branch_blocks(BELL, kind, etas)
+    assert str(info.value) == message
 
 
 def test_eta_out_of_range_rejected():
@@ -78,6 +106,10 @@ def test_eta_out_of_range_rejected():
         kraus_operators(NoiseKind.BIT_FLIP, -0.1)
     with pytest.raises(ValueError):
         NoiseSpec(NoiseKind.BIT_FLIP, 1.2)
+    with pytest.raises(ValueError, match=r"got nan"):
+        kraus_operators(NoiseKind.BIT_FLIP, float("nan"))
+    with pytest.raises(ValueError, match="1-D grid"):
+        kraus_operators(NoiseKind.BIT_FLIP, np.full((2, 2), 0.5))
 
 
 # --------------------------------------------------------------------------
@@ -236,8 +268,8 @@ def test_bit_flip_eta_one_straight_line_oracle():
     psi = channel.build_channel()
     for q in range(1, 8):
         psi = apply_to_qubits(linalg.X, [q], psi)
-    basis = alice_basis(target)
-    proj_u = np.outer(basis.u1, basis.u1.conj())
+    u1 = alice_basis(target)[0]
+    proj_u = np.outer(u1, u1.conj())
     psi = apply_to_qubits(proj_u, [1], psi)
     for q, bit in ((4, "0"), (6, "0"), (5, "0"), (7, "0")):
         p = np.outer(ket(bit), ket(bit).conj())
