@@ -14,6 +14,9 @@ a two-branch factorization against the sender's measurement basis, and
 a grouped form over three-qubit superposition pairs whose printed
 prefactor in the source description is inconsistent (see
 ``verify_grouped_form``).
+
+A ``target`` is a ``protocol.TargetState``, which checks when it is built
+that alpha and beta are finite and of unit norm.
 """
 
 from __future__ import annotations
@@ -44,20 +47,6 @@ def party_layout(vectors: np.ndarray) -> np.ndarray:
     lead = vectors.shape[:-1]
     t = vectors.reshape(lead + (2,) * 7).transpose(tuple(range(len(lead))) + _LAYOUT_AXES)
     return t.reshape(lead + (2, 16, 4))
-
-
-def _alpha_beta(target) -> tuple[complex, complex]:
-    """Accept a TargetState-like object or a plain (alpha, beta) pair."""
-    if hasattr(target, "alpha"):
-        a, b = complex(target.alpha), complex(target.beta)
-    else:
-        a, b = (complex(v) for v in target)
-    if not np.isfinite([a, b]).all():
-        raise ValueError(f"amplitudes must be finite, got alpha={a!r}, beta={b!r}")
-    norm = abs(a) ** 2 + abs(b) ** 2
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"|alpha|^2 + |beta|^2 = {norm!r} is not 1")
-    return a, b
 
 
 def bell_pairs() -> dict[str, np.ndarray]:
@@ -145,29 +134,31 @@ _F2_BLOCKS = (
 CORRELATED_PAIRS = tuple((c, d) for c, d, _ in _F1_BLOCKS)
 
 
-def _build_factor(blocks, alpha: complex, beta: complex) -> np.ndarray:
+def block_vector(terms, alpha: complex, beta: complex) -> np.ndarray:
+    """Receiver-pair vector (4,) of one block's (amplitude, pair bits, sign) terms / sqrt2."""
     coef = {"a": alpha, "b": beta}
-    vec = np.zeros(64, dtype=np.complex128)
-    for c, d, terms in blocks:
-        for which, bbits, sign in terms:
-            vec[int(bbits + c + d, 2)] += sign * coef[which]
+    vec = np.zeros(4, dtype=np.complex128)
+    for which, bbits, sign in terms:
+        vec[int(bbits, 2)] += sign * coef[which]
     return vec / np.sqrt(2.0)
 
 
-def factor_states(target) -> tuple[np.ndarray, np.ndarray]:
-    """Six-qubit factor states (f1, f2) over qubit order (B1,B2,C1,C2,D1,D2).
+def factor_states(target) -> np.ndarray:
+    """Six-qubit factor states (f1, f2) over qubit order (B1,B2,C1,C2,D1,D2),
+    as the rows of a read-only (2, 64) array.
 
     Unnormalized on purpose: each has squared norm 8, so that
     |Psi> = (1/4) [u1 (x) f1 + u2 (x) f2] with u1, u2 the sender basis;
     read as (pair, helper pattern), f1 and f2 hold the helpers in
     ``party_layout`` order.
     """
-    a, b = _alpha_beta(target)
-    f1 = _build_factor(_F1_BLOCKS, a, b)
-    f2 = _build_factor(_F2_BLOCKS, a, b)
-    f1.setflags(write=False)
-    f2.setflags(write=False)
-    return f1, f2
+    f = np.zeros((2, 4, 16), dtype=np.complex128)
+    for out, blocks in zip(f, (_F1_BLOCKS, _F2_BLOCKS)):
+        for c, d, terms in blocks:
+            out[:, int(c + d, 2)] = block_vector(terms, target.alpha, target.beta)
+    f = f.reshape(2, 64)
+    f.setflags(write=False)
+    return f
 
 
 def factor_block(which: int, charlie: str, david: str, target) -> np.ndarray:
@@ -176,21 +167,17 @@ def factor_block(which: int, charlie: str, david: str, target) -> np.ndarray:
     ``which`` selects the sender branch (1 or 2); (charlie, david) must be
     one of the eight correlated patterns.
     """
-    blocks = {1: _F1_BLOCKS, 2: _F2_BLOCKS}[which]
-    a, b = _alpha_beta(target)
-    coef = {"a": a, "b": b}
-    for c, d, terms in blocks:
+    if which not in (1, 2):
+        raise ValueError(f"sender branch must be 1 or 2, got {which!r}")
+    for c, d, terms in _F1_BLOCKS if which == 1 else _F2_BLOCKS:
         if (c, d) == (charlie, david):
-            vec = np.zeros(4, dtype=np.complex128)
-            for key, bbits, sign in terms:
-                vec[int(bbits, 2)] += sign * coef[key]
-            return vec / np.sqrt(2.0)
+            return block_vector(terms, target.alpha, target.beta)
     raise ValueError(f"({charlie}, {david}) is not a correlated helper outcome")
 
 
 def sender_basis_vectors(target) -> tuple[np.ndarray, np.ndarray]:
     """The pair (u1, u2) = (alpha|0> + beta|1>, alpha|1> - beta|0>)."""
-    a, b = _alpha_beta(target)
+    a, b = target.alpha, target.beta
     return (
         np.array([a, b], dtype=np.complex128),
         np.array([-b, a], dtype=np.complex128),

@@ -86,50 +86,6 @@ def _cell(value: Optional[float], error: Optional[str]) -> str:
     return analysis.ERROR_MARKER if error else ""
 
 
-def _parse_cell(text: str) -> tuple[Optional[float], Optional[str]]:
-    if text == "":
-        return None, None
-    if text == analysis.ERROR_MARKER:
-        return None, analysis.ERROR_MARKER
-    return float(text), None
-
-
-def read_sweep_csv(src: TextIO) -> tuple[tuple[SweepRow, ...], TargetState]:
-    """Parse a sweep file back into rows; inverse of write_sweep_csv."""
-    reader = csv.reader(src)
-    header = tuple(next(reader))
-    if header != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header {header!r}")
-    rows = []
-    target = None
-    for rec in reader:
-        if len(rec) != len(CSV_HEADER):
-            raise ValueError(f"malformed CSV record {rec!r}")
-        kind = NoiseKind(rec[0])
-        t = TargetState(
-            complex(float(rec[2]), float(rec[3])),
-            complex(float(rec[4]), float(rec[5])),
-        )
-        if target is None:
-            target = t
-        f_exact, err_exact = _parse_cell(rec[7])
-        f_trunc, err_trunc = _parse_cell(rec[8])
-        rows.append(
-            SweepRow(
-                kind=kind,
-                eta=float(rec[1]),
-                branch=rec[6],
-                fidelity_exact=f_exact,
-                fidelity_truncated=f_trunc,
-                error_exact=err_exact,
-                error_truncated=err_trunc,
-            )
-        )
-    if target is None:
-        raise ValueError("sweep file contains no data rows")
-    return tuple(rows), target
-
-
 def write_sweep_svg(out: TextIO, rows: Sequence[SweepRow]) -> None:
     """Minimal static line chart of fidelity against eta (plumbing only)."""
     width, height = 640, 420

@@ -63,15 +63,6 @@ def ket(bits: str) -> np.ndarray:
     return _frozen(vec)
 
 
-def basis_state(num_qubits: int, index: int) -> np.ndarray:
-    if num_qubits < 1 or not 0 <= index < 2 ** num_qubits:
-        raise ValueError(f"basis index {index} out of range for {num_qubits} qubit(s)")
-    _check_capacity(num_qubits)
-    vec = np.zeros(2 ** num_qubits, dtype=np.complex128)
-    vec[index] = 1.0
-    return _frozen(vec)
-
-
 def tensor(*factors: np.ndarray) -> np.ndarray:
     """Kronecker product of vectors (or of square operators), left to right."""
     if not factors:

@@ -141,13 +141,6 @@ class OutcomeKey:
         outcomes of ``channel.party_layout``."""
         return (self.alice - 1) * 16 + int(self.charlie + self.david, 2)
 
-    @classmethod
-    def parse(cls, text: str) -> "OutcomeKey":
-        parts = text.strip().split(",")
-        if len(parts) != 3 or parts[0] not in ("U1", "U2"):
-            raise ValueError(f"expected 'U1,cc,dd' or 'U2,cc,dd', got {text!r}")
-        return cls(int(parts[0][1]), parts[1], parts[2])
-
 
 ALL_OUTCOME_KEYS: tuple[OutcomeKey, ...] = tuple(
     OutcomeKey(a, c, d) for a in (1, 2) for (c, d) in VALID_PAIRS
@@ -249,8 +242,8 @@ def _block_pair(key: OutcomeKey) -> tuple[np.ndarray, np.ndarray]:
     target for every parameter pair exactly when it sends these two basis
     blocks to |00> and |11> with one common phase.
     """
-    b10 = channel.factor_block(key.alice, key.charlie, key.david, (1.0, 0.0))
-    b01 = channel.factor_block(key.alice, key.charlie, key.david, (0.0, 1.0))
+    b10 = channel.factor_block(key.alice, key.charlie, key.david, TargetState(1.0, 0.0))
+    b01 = channel.factor_block(key.alice, key.charlie, key.david, TargetState(0.0, 1.0))
     return b10, b01
 
 
@@ -323,31 +316,16 @@ def table_report() -> tuple[RecoveryRule, ...]:
     # unclaimed branch through their printed receiver-state column.
     unclaimed = [k for k in ALL_OUTCOME_KEYS if k not in claimed]
     for alice, c, d, coeffs, gates in orphans:
-        printed10 = np.zeros(4, dtype=np.complex128)
-        printed01 = np.zeros(4, dtype=np.complex128)
-        for which, bbits, sign in coeffs:
-            idx = int(bbits, 2)
-            if which == "a":
-                printed10[idx] += sign
-            else:
-                printed01[idx] += sign
-        printed10 /= np.sqrt(2.0)
-        printed01 /= np.sqrt(2.0)
+        printed = (channel.block_vector(coeffs, 1.0, 0.0), channel.block_vector(coeffs, 0.0, 1.0))
         match = None
         for key in unclaimed:
-            if key.alice != alice:
-                continue
-            b10, b01 = _block_pair(key)
-            if (
-                abs(abs(np.vdot(printed10, b10)) - 1.0) <= 1e-12
-                and abs(abs(np.vdot(printed01, b01)) - 1.0) <= 1e-12
+            if key.alice == alice and all(
+                abs(abs(np.vdot(p, b)) - 1.0) <= 1e-12 for p, b in zip(printed, _block_pair(key))
             ):
                 match = key
                 break
         if match is None:
-            raise RuntimeError(
-                f"printed row U{alice},{c},{d} matches no unclaimed branch"
-            )
+            raise RuntimeError(f"printed row U{alice},{c},{d} matches no unclaimed branch")
         unclaimed.remove(match)
         claimed[match] = (coeffs, gates, (c, d))
     if unclaimed:

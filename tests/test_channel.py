@@ -78,13 +78,6 @@ def test_sender_basis_vectors():
     assert_allclose(u2, [-0.8, 0.6], atol=1e-15)
 
 
-def test_plain_amplitude_pairs_must_be_finite():
-    with pytest.raises(ValueError, match="finite"):
-        channel.sender_basis_vectors((math.nan, 0.0))
-    with pytest.raises(ValueError, match="finite"):
-        channel.factor_states((0.6, complex(0.8, math.inf)))
-
-
 def test_factorization_residual_real_targets(rng):
     for t in random_targets(rng, 20, with_phase=False):
         assert channel.verify_factorization(t) <= 1e-12
@@ -111,6 +104,22 @@ def test_factor_block_norm_and_count():
             assert_allclose(np.linalg.norm(b), 1.0, atol=1e-12)
             seen += 1
     assert seen == 16
+
+
+def test_factor_block_is_its_column_of_the_factor_states(rng):
+    targets = [TargetState(1.0, 0.0), TargetState(0.0, 1.0), TargetState(0.6j, 0.8j)]
+    for t in targets + random_targets(rng, 5, with_phase=True):
+        f = channel.factor_states(t)
+        for key in ALL_OUTCOME_KEYS:
+            column = f[key.alice - 1].reshape(4, 16)[:, int(key.charlie + key.david, 2)]
+            block = channel.factor_block(key.alice, key.charlie, key.david, t)
+            assert np.array_equal(block, column)
+
+
+@pytest.mark.parametrize("which", [0, 3, "1", None])
+def test_factor_block_rejects_a_bad_sender_branch(which):
+    with pytest.raises(ValueError, match="sender branch must be 1 or 2"):
+        channel.factor_block(which, "00", "00", TargetState(0.6, 0.8))
 
 
 def test_correlated_pairs_cover_exactly_the_channel_support():

@@ -1,10 +1,13 @@
 import io
+import math
 
 import numpy as np
 import pytest
 
-from rsp7 import channel, cli
+from rsp7 import analysis, channel, cli
+from rsp7.analysis import SweepConfig
 from rsp7.cli import main
+from rsp7.noise import NoiseKind
 from rsp7.protocol import OutcomeKey, TargetState
 
 
@@ -12,6 +15,12 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def sweep_csv_text(config):
+    buf = io.StringIO()
+    cli.write_sweep_csv(buf, analysis.fidelity_sweep(config), config.target)
+    return buf.getvalue()
 
 
 # --------------------------------------------------------------------------
@@ -92,6 +101,9 @@ SEED_MESSAGE = "--seed must be a non-negative integer"
                   "--out", "{tmp}/never.csv"], 3,
                  "forced branch U1,10,11 has probability 0.000000000000; "
                  "helper pattern (10,11) never occurs", id="sweep-impossible-branch"),
+    pytest.param(["sweep", "--alpha", "1", "--beta", "0", "--branch", "U3,00,00",
+                  "--out", "{tmp}/never.csv"], 2,
+                 "expected 'U1,cc,dd' or 'U2,cc,dd', got 'U3,00,00'", id="sweep-malformed-branch"),
     pytest.param(["run", "--alpha", "1", "--beta", "0", "--seed", "-1"], 2, SEED_MESSAGE,
                  id="run-negative-seed"),
     pytest.param(["run", "--config", "{tmp}/seed.cfg"], 2, SEED_MESSAGE,
@@ -158,11 +170,9 @@ def test_sweep_round_trip(tmp_path, capsys):
                           "--noise", "bit_flip,phase_damping", "--steps", "4",
                           "--out", str(out_csv)], capsys)
     assert code == 0
-    text = out_csv.read_text()
-    rows, target = cli.read_sweep_csv(io.StringIO(text))
-    buf = io.StringIO()
-    cli.write_sweep_csv(buf, rows, target)
-    assert buf.getvalue() == text
+    config = SweepConfig(kinds=(NoiseKind.BIT_FLIP, NoiseKind.PHASE_DAMPING),
+                         target=TargetState(0.6, 0.8), eta_steps=4)
+    assert out_csv.read_text() == sweep_csv_text(config)
 
 
 def test_sweep_branch_with_error_marker(tmp_path, capsys):
@@ -176,11 +186,13 @@ def test_sweep_branch_with_error_marker(tmp_path, capsys):
     last = lines[-1]
     assert last.split(",")[-1] == "impossible-branch"
     assert last.split(",")[-2] == "impossible-branch"
-    # and the file still round-trips
-    rows, target = cli.read_sweep_csv(io.StringIO(out_csv.read_text()))
-    buf = io.StringIO()
-    cli.write_sweep_csv(buf, rows, target)
-    assert buf.getvalue() == out_csv.read_text()
+    # the file is the library's sweep, impossible-branch cells included
+    a = 0.70710678
+    norm = math.sqrt(a * a + a * a)
+    config = SweepConfig(kinds=(NoiseKind.AMPLITUDE_DAMPING,),
+                         target=TargetState(a / norm, a / norm), eta_steps=2,
+                         branch=OutcomeKey(1, "11", "11"))
+    assert out_csv.read_text() == sweep_csv_text(config)
 
 
 def test_sweep_unwritable_path(tmp_path, capsys, monkeypatch):

@@ -6,7 +6,6 @@ from rsp7 import linalg
 from rsp7.linalg import (
     CapacityError,
     apply_to_qubits,
-    basis_state,
     check_density,
     ket,
     partial_trace,
@@ -20,7 +19,6 @@ from conftest import random_density
 def test_ket_is_msb_first():
     assert_allclose(ket("10"), [0, 0, 1, 0])
     assert_allclose(ket("01"), [0, 1, 0, 0])
-    assert_allclose(basis_state(3, 5), ket("101"))
 
 
 def test_tensor_matches_kron():
@@ -109,7 +107,7 @@ def test_check_density_flags_bad_inputs():
 
 def test_capacity_guard():
     with pytest.raises(CapacityError):
-        basis_state(20, 0)
+        ket("0" * 20)
 
 
 def test_ket_rejects_garbage():

