@@ -2,9 +2,9 @@
 invariant suite behind ``rsp7 verify``.
 
 The inside attack models a dishonest helper who entangles the sender's
-qubit with a private environment through an isometry assembled from four
-fragment vectors; the analysis computes the attacker-accessible state
-and its purity.  The outside attack models an interceptor on decoy
+qubit with a private environment through an isometry V, one (2 d) x 2
+matrix; the analysis computes the attacker-accessible state and its
+purity.  The outside attack models an interceptor on decoy
 qubits drawn from {|0>, |1>, |+>, |->}; detection statistics come from
 honest amplitude-level sampling of each measurement, not from the
 closed-form per-decoy probability, so the simulation independently
@@ -32,13 +32,8 @@ from .noise import (
     NoiseSpec,
     UnsupportedConfigurationError,
 )
-from .protocol import (
-    ALL_OUTCOME_KEYS,
-    ImpossibleBranchError,
-    OutcomeKey,
-    TargetState,
-    alice_basis,
-)
+from .channel import alice_basis
+from .protocol import ALL_OUTCOME_KEYS, ImpossibleBranchError, OutcomeKey, TargetState
 
 
 def fidelity(pure: np.ndarray, rho: np.ndarray) -> float:
@@ -284,81 +279,56 @@ def _random_isometries(env_dim: int, count: int, rng: np.random.Generator) -> np
     return q * np.exp(-1j * np.angle(np.diagonal(r, axis1=-2, axis2=-1)))[:, None, :]
 
 
+def _isometry_residual(v: np.ndarray) -> float:
+    """Largest |V^dagger V - I| over a stack of attack maps V, each (2 env_dim) x 2.
+
+    Raises ValueError unless every map has that shape with env_dim >= 2 and
+    the residual is at most ISOMETRY_TOL (a NaN or inf entry fails too).
+    """
+    if v.ndim != 3 or v.shape[2] != 2 or v.shape[1] % 2 or v.shape[1] < 4:
+        raise ValueError(
+            f"an attack map is a (2 env_dim) x 2 matrix with env_dim >= 2, "
+            f"got shape {v.shape[1:]}"
+        )
+    residual = float(np.max(np.abs(v.conj().swapaxes(1, 2) @ v - np.eye(2))))
+    if not residual <= ISOMETRY_TOL:
+        raise ValueError(f"attack map misses V^dagger V = I by {residual:.3e}")
+    return residual
+
+
 @dataclass(frozen=True)
 class AttackParams:
-    """Fragments of the entangling map |a> -> sum_b |b>|e_ab>.
+    """The entangling map |a> -> sum_b |b>|e_ab> as its (2 env_dim) x 2 matrix V:
+    column a of V is e_a0 stacked over e_a1.
 
-    The four environment fragments may be unnormalized individually, but
-    physicality pins three bilinear constraints: each input's image must
-    have unit norm, and the two images must be orthogonal (otherwise the
-    map does not extend to a unitary on system plus environment).
+    The fragments e_ab may be unnormalized individually, but V must be an
+    isometry, V^dagger V = I; otherwise the map does not extend to a unitary
+    on system plus environment.
     """
 
-    e00: np.ndarray
-    e01: np.ndarray
-    e10: np.ndarray
-    e11: np.ndarray
+    v: np.ndarray
 
     def __post_init__(self):
-        frags = {}
-        dim = None
-        for name in ("e00", "e01", "e10", "e11"):
-            v = np.ascontiguousarray(getattr(self, name), dtype=np.complex128).reshape(-1)
-            if not np.isfinite(v).all():
-                raise ValueError(f"fragment {name} has a non-finite entry")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-            frags[name] = v
-            if dim is None:
-                dim = v.size
-            elif v.size != dim:
-                raise ValueError("all four environment fragments must share one dimension")
-        if dim < 2:
-            raise ValueError(f"environment dimension must be at least 2, got {dim}")
-        n0 = np.vdot(frags["e00"], frags["e00"]).real + np.vdot(frags["e01"], frags["e01"]).real
-        if abs(n0 - 1.0) > ISOMETRY_TOL:
-            raise ValueError(
-                f"first-row normalization <e00|e00> + <e01|e01> = {float(n0):.6f}, must be 1"
-            )
-        n1 = np.vdot(frags["e10"], frags["e10"]).real + np.vdot(frags["e11"], frags["e11"]).real
-        if abs(n1 - 1.0) > ISOMETRY_TOL:
-            raise ValueError(
-                f"second-row normalization <e10|e10> + <e11|e11> = {float(n1):.6f}, must be 1"
-            )
-        x = np.vdot(frags["e00"], frags["e10"]) + np.vdot(frags["e01"], frags["e11"])
-        if abs(x) > ISOMETRY_TOL:
-            raise ValueError(
-                f"row orthogonality <e00|e10> + <e01|e11> = {complex(x):.6f}, must vanish"
-            )
+        v = np.array(self.v, dtype=np.complex128, order="C")
+        _isometry_residual(v[None])
+        v.setflags(write=False)
+        object.__setattr__(self, "v", v)
 
     @property
     def env_dim(self) -> int:
-        return self.e00.size
+        return self.v.shape[0] // 2
 
     @classmethod
     def trivial(cls, env_dim: int = 2) -> "AttackParams":
         """The do-nothing attack: |a> -> |a>|0>_E."""
-        one = np.zeros(env_dim, dtype=np.complex128)
-        one[0] = 1.0
-        zero = np.zeros(env_dim, dtype=np.complex128)
-        return cls(e00=one, e01=zero, e10=zero, e11=one)
+        v = np.zeros((2 * env_dim, 2), dtype=np.complex128)
+        v[0, 0] = v[env_dim, 1] = 1.0
+        return cls(v)
 
     @classmethod
     def random(cls, env_dim: int, rng: np.random.Generator) -> "AttackParams":
         """A Haar-ish random valid attack from the QR of a Gaussian matrix."""
-        q = _random_isometries(env_dim, 1, rng)[0]
-        return cls(e00=q[:env_dim, 0], e01=q[env_dim:, 0], e10=q[:env_dim, 1], e11=q[env_dim:, 1])
-
-
-def isometry_matrix(params: AttackParams) -> np.ndarray:
-    """The (2 env_dim) x 2 matrix sending |a> to sum_b |b>|e_ab>."""
-    v = np.empty((2 * params.env_dim, 2), dtype=np.complex128)
-    v[: params.env_dim, 0] = params.e00
-    v[params.env_dim :, 0] = params.e01
-    v[: params.env_dim, 1] = params.e10
-    v[params.env_dim :, 1] = params.e11
-    v.setflags(write=False)
-    return v
+        return cls(_random_isometries(env_dim, 1, rng)[0])
 
 
 @dataclass(frozen=True)
@@ -387,8 +357,8 @@ def inside_attack(
     environment factors out.
     """
     d = params.env_dim
-    v = isometry_matrix(params)
-    residual = float(np.max(np.abs(v.conj().T @ v - np.eye(2))))
+    v = params.v
+    residual = _isometry_residual(v[None])
 
     # sender x receiver pair
     w = channel.party_layout(channel.build_channel())[:, key.outcome_index % 16]
@@ -424,8 +394,8 @@ def sample_inside_attacks(
 ) -> tuple[np.ndarray, float]:
     """Purities of ``samples`` random attacks and their worst isometry residual:
     ``inside_attack(target, key, AttackParams.random(env_dim, rng))`` sample by
-    sample on the same stream, for any target.  Raises ValueError for a map that
-    misses V^dagger V = I by more than ISOMETRY_TOL or is not finite.
+    sample on the same stream, for any target.  Raises ValueError for a drawn
+    map that ``AttackParams`` would reject.
     """
     if samples < 1 or env_dim < 2:
         raise ValueError(f"need samples >= 1 and env_dim >= 2, got {samples}, {env_dim}")
@@ -435,10 +405,7 @@ def sample_inside_attacks(
     worst = 0.0
     for start in range(0, samples, per_chunk):
         v = _random_isometries(env_dim, min(per_chunk, samples - start), rng)
-        residual = float(np.max(np.abs(v.conj().swapaxes(1, 2) @ v - np.eye(2))))
-        if not residual <= ISOMETRY_TOL:  # also catches NaN
-            raise ValueError(f"sampled map misses V^dagger V = I by {residual:.3e}")
-        worst = max(worst, residual)
+        worst = max(worst, _isometry_residual(v))
         m = v @ w
         gram = m.conj().swapaxes(1, 2) @ m  # the 4x4 matrix inside_attack takes the purity from
         rho = gram / np.trace(gram, axis1=1, axis2=2).real[:, None, None]

@@ -16,7 +16,8 @@ prefactor in the source description is inconsistent (see
 ``verify_grouped_form``).
 
 A ``target`` is a ``protocol.TargetState``, which checks when it is built
-that alpha and beta are finite and of unit norm.
+that alpha and beta are finite, of unit norm and real up to one shared
+phase, so that ``alice_basis`` is orthonormal.
 """
 
 from __future__ import annotations
@@ -175,13 +176,13 @@ def factor_block(which: int, charlie: str, david: str, target) -> np.ndarray:
     raise ValueError(f"({charlie}, {david}) is not a correlated helper outcome")
 
 
-def sender_basis_vectors(target) -> tuple[np.ndarray, np.ndarray]:
-    """The pair (u1, u2) = (alpha|0> + beta|1>, alpha|1> - beta|0>)."""
+def alice_basis(target) -> np.ndarray:
+    """Sender measurement basis u1 = alpha|0> + beta|1>, u2 = alpha|1> - beta|0>,
+    as the read-only 2x2 array whose rows are u1 and u2."""
     a, b = target.alpha, target.beta
-    return (
-        np.array([a, b], dtype=np.complex128),
-        np.array([-b, a], dtype=np.complex128),
-    )
+    basis = np.array([[a, b], [-b, a]], dtype=np.complex128)
+    basis.setflags(write=False)
+    return basis
 
 
 def verify_factorization(target) -> float:
@@ -194,7 +195,7 @@ def verify_factorization(target) -> float:
     """
     recon = 0.25 * sum(
         u[:, None, None] * f.reshape(4, 16).T
-        for u, f in zip(sender_basis_vectors(target), factor_states(target))
+        for u, f in zip(alice_basis(target), factor_states(target))
     )
     psi = party_layout(build_channel())
     overlap = np.vdot(recon, psi)

@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import channel
+from .channel import alice_basis
 from .linalg import (
     I2,
     X,
@@ -47,7 +48,6 @@ from .protocol import (
     ImpossibleBranchError,
     OutcomeKey,
     TargetState,
-    alice_basis,
     gate_matrix,
     recovery_sequence,
 )

@@ -28,9 +28,11 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import channel
+from .channel import alice_basis
 from .linalg import CX, H, I2, X, Z, ket, n_qubits, tensor
 from .linalg import apply_to_qubits  # noqa: F401  bench/tracing.py wraps protocol.apply_to_qubits
 
+#: Largest |<u1|u2>| of a supported target's sender basis.
 _ORTHO_TOL = 1e-12
 #: A branch whose probability falls below this floor counts as impossible.
 MIN_BRANCH_PROBABILITY = 1e-14
@@ -54,11 +56,10 @@ class UnknownOutcomeError(LookupError):
 class TargetState:
     """Receiver target alpha|00> + beta|11> with |alpha|^2 + |beta|^2 = 1.
 
-    Both amplitudes may be complex.  The preparation basis is orthonormal
-    only when conj(alpha)*beta is real, i.e. for real amplitude pairs up
-    to one shared global phase; a genuine relative phase is rejected by
-    ``alice_basis`` (not here) because the factor states themselves stay
-    well defined for any normalized pair.
+    Both amplitudes may be complex, but the sender basis ``alice_basis``
+    is orthonormal only when conj(alpha)*beta is real, i.e. for real
+    amplitude pairs up to one shared global phase; a relative phase is
+    rejected here, outside the family this preparation scheme supports.
     """
 
     alpha: complex
@@ -73,6 +74,12 @@ class TargetState:
         norm = abs(a) ** 2 + abs(b) ** 2
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"|alpha|^2 + |beta|^2 = {norm!r} is not 1 within 1e-10")
+        # <u1|u2> = conj(alpha) (-beta) + conj(beta) alpha
+        if abs(b.conjugate() * a - a.conjugate() * b) > _ORTHO_TOL:
+            raise ValueError(
+                "sender basis is not orthonormal: alpha and beta must be real up "
+                "to one shared global phase"
+            )
 
     def ket(self) -> np.ndarray:
         vec = np.zeros(4, dtype=np.complex128)
@@ -87,25 +94,6 @@ class TargetState:
         t = rng.uniform(0.0, 2.0 * math.pi)
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) if with_phase else 1.0
         return cls(phase * math.cos(t), phase * math.sin(t))
-
-
-def alice_basis(target: TargetState) -> np.ndarray:
-    """Sender measurement basis u1 = alpha|0> + beta|1>, u2 = alpha|1> - beta|0>,
-    as the read-only 2x2 array whose rows are u1 and u2.
-
-    Raises ValueError when the pair is not orthonormal, which happens
-    exactly when alpha and beta carry a relative complex phase; such
-    targets are outside the family this preparation scheme supports.
-    """
-    u1, u2 = channel.sender_basis_vectors(target)
-    if abs(np.vdot(u1, u2)) > _ORTHO_TOL:
-        raise ValueError(
-            "sender basis is not orthonormal: alpha and beta must be real up "
-            "to one shared global phase"
-        )
-    basis = np.array([u1, u2])
-    basis.setflags(write=False)
-    return basis
 
 
 #: Helper outcome patterns (charlie, david) that occur with nonzero probability.

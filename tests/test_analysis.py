@@ -277,31 +277,10 @@ def test_attack_raw_weight_is_eighth():
     assert_allclose(res.raw_branch_weight, 1.0 / 8.0, atol=1e-12)
 
 
-def test_attack_params_constraint_violations_are_named():
-    e0 = np.array([1.0, 0.0])
-    zero = np.zeros(2)
-    with pytest.raises(ValueError, match="first-row normalization"):
-        AttackParams(e00=0.5 * e0, e01=zero, e10=zero, e11=e0)
-    with pytest.raises(ValueError, match="second-row normalization"):
-        AttackParams(e00=e0, e01=zero, e10=zero, e11=0.5 * e0)
-    with pytest.raises(ValueError, match="row orthogonality"):
-        AttackParams(e00=e0, e01=zero, e10=e0, e11=zero)
-    with pytest.raises(ValueError, match="environment"):
-        AttackParams(e00=np.array([1.0]), e01=np.array([0.0]),
-                     e10=np.array([0.0]), e11=np.array([1.0]))
-
-
-def test_attack_params_reject_non_finite_fragments():
-    # a nan makes every constraint comparison False, so it must be caught first
-    e0 = np.array([1.0, 0.0])
-    zero = np.zeros(2)
-    with pytest.raises(ValueError, match="e01 has a non-finite entry"):
-        AttackParams(e00=e0, e01=np.array([np.nan, 0.0]), e10=zero, e11=e0)
-
-
 def test_random_attack_stream_is_pinned():
     # the seeded sampled attacks depend on this draw order and phase fix
-    params = AttackParams.random(2, np.random.default_rng(0))
+    v = AttackParams.random(2, np.random.default_rng(0)).v
+    fragments = {"e00": v[:2, 0], "e01": v[2:, 0], "e10": v[:2, 1], "e11": v[2:, 1]}
     want = {
         "e00": [0.039261788303 - 0.219755470157j, 0.199984843001 - 0.194629976705j],
         "e01": [-0.167273526972 - 0.726037584894j, 0.407200220227 - 0.389060732014j],
@@ -309,7 +288,7 @@ def test_random_attack_stream_is_pinned():
         "e11": [0.214931859776 + 0.42154055559j, 0.27614555146 - 0.317313103541j],
     }
     for name, values in want.items():
-        assert_allclose(getattr(params, name), values, atol=1e-12)
+        assert_allclose(fragments[name], values, atol=1e-12)
 
 
 @pytest.mark.parametrize("samples", [1, 100])
@@ -339,27 +318,40 @@ def test_sampled_attack_chunks_keep_the_stream(monkeypatch, per_chunk):
     assert worst == max(r.isometry_residual for r in loop)
 
 
-def test_sampled_attacks_reject_non_isometries(monkeypatch):
+def test_attack_maps_accept_and_reject_the_same_rows(monkeypatch):
     for env_dim, samples in ((1, 5), (2, 0)):
         with pytest.raises(ValueError, match="need samples >= 1 and env_dim >= 2"):
             sample_inside_attacks(KEY00, env_dim, samples, np.random.default_rng(0))
-    v = np.array(analysis.isometry_matrix(AttackParams.trivial()))
-    for second, ok in (
+    v = AttackParams.trivial().v
+    parallel = np.zeros((4, 2))
+    parallel[0] = 1.0
+    rows = (
         (v, True),
         (v * (1.0 + 0.4 * analysis.ISOMETRY_TOL), True),
         (v * (1.0 + analysis.ISOMETRY_TOL), False),
         (np.where(v == 1.0, np.nan, v), False),
         (np.where(v == 1.0, np.inf, v), False),
-    ):
-        monkeypatch.setattr(analysis, "_random_isometries",
-                            lambda d, n, rng, second=second: np.stack([v, second]))
-        if ok:
-            purities, worst = sample_inside_attacks(KEY00, 2, 2, None)
-            assert_allclose(purities, 0.5, atol=1e-12)
-            assert worst <= analysis.ISOMETRY_TOL
-        else:
-            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="misses V"):
-                sample_inside_attacks(KEY00, 2, 2, None)
+        (v * [0.5, 1.0], False),  # short first column
+        (v * [1.0, 0.5], False),  # short second column
+        (parallel, False),  # non-orthogonal columns
+        (np.eye(2), False),  # env_dim 1
+        (np.eye(3)[:, :2], False),  # orthonormal columns, but an odd row count
+    )
+    for row, ok in rows:
+        # a batch whose second map is the row, or the row alone when it cannot stack
+        draws = np.stack([v, row]) if row.shape == v.shape else row[None]
+        monkeypatch.setattr(analysis, "_random_isometries", lambda d, n, rng, draws=draws: draws)
+        with np.errstate(invalid="ignore"):
+            if ok:
+                assert AttackParams(row).env_dim == 2
+                purities, worst = sample_inside_attacks(KEY00, 2, len(draws), None)
+                assert_allclose(purities, 0.5, atol=1e-12)
+                assert worst <= analysis.ISOMETRY_TOL
+                continue
+            with pytest.raises(ValueError, match="attack map"):
+                AttackParams(row)
+            with pytest.raises(ValueError, match="attack map"):
+                sample_inside_attacks(KEY00, 2, len(draws), None)
 
 
 # --------------------------------------------------------------------------

@@ -71,11 +71,10 @@ def test_factor_states_norms_and_orthogonality():
     assert abs(np.vdot(f1, f2)) <= 1e-12
 
 
-def test_sender_basis_vectors():
-    t = TargetState(0.6, 0.8)
-    u1, u2 = channel.sender_basis_vectors(t)
-    assert_allclose(u1, [0.6, 0.8], atol=1e-15)
-    assert_allclose(u2, [-0.8, 0.6], atol=1e-15)
+def test_alice_basis_rows():
+    basis = channel.alice_basis(TargetState(0.6, 0.8))
+    assert basis.shape == (2, 2) and not basis.flags.writeable
+    assert_allclose(basis, [[0.6, 0.8], [-0.8, 0.6]], atol=1e-15)
 
 
 def test_factorization_residual_real_targets(rng):

@@ -1,8 +1,11 @@
+import contextlib
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsp7 import analysis, channel, cli
 from rsp7.analysis import SweepConfig
@@ -90,7 +93,34 @@ def test_run_non_finite_amplitudes(capsys):
         assert err.count("\n") == 1 and "finite" in err
 
 
+_ANGLES = st.floats(0.0, 2.0 * math.pi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=_ANGLES, phase=_ANGLES,
+       relative=st.one_of(st.sampled_from([0.0, math.pi]), _ANGLES),
+       scale=st.one_of(st.just(1.0), st.floats(0.0, 2.0)))
+def test_run_exits_zero_or_two_on_any_target(t, phase, relative, scale):
+    # alpha and beta each carry a phase; a relative phase of 0 or pi is a shared one
+    alpha = scale * math.cos(t) * complex(math.cos(phase), math.sin(phase))
+    beta = scale * math.sin(t) * complex(math.cos(phase + relative), math.sin(phase + relative))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", f"--alpha={alpha.real!r}", f"--alpha-im={alpha.imag!r}",
+                     f"--beta={beta.real!r}", f"--beta-im={beta.imag!r}", "--seed", "0"])
+    if scale == 1.0 and relative in (0.0, math.pi):
+        assert code == 0
+    assert code in (0, 2)
+    if code == 0:
+        assert "fidelity: 1.000000000000\n" in out.getvalue()
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
 SEED_MESSAGE = "--seed must be a non-negative integer"
+RELATIVE_PHASE_MESSAGE = ("sender basis is not orthonormal: alpha and beta must be real "
+                          "up to one shared global phase")
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -118,6 +148,11 @@ SEED_MESSAGE = "--seed must be a non-negative integer"
                  id="inside-trivial-negative-seed"),
     pytest.param(["security", "--mode", "inside", "--trivial", "--samples", "0"], 2,
                  "--samples must be at least 1", id="inside-trivial-zero-samples"),
+    pytest.param(["run", "--alpha", "0.28", "--beta", "0", "--beta-im", "0.96", "--seed", "1"],
+                 2, RELATIVE_PHASE_MESSAGE, id="run-relative-phase"),
+    pytest.param(["sweep", "--alpha", "0.28", "--beta", "0", "--beta-im", "0.96",
+                  "--out", "{tmp}/never.csv"], 2, RELATIVE_PHASE_MESSAGE,
+                 id="sweep-relative-phase"),
 ])
 def test_bad_input_exits_without_traceback(tmp_path, capsys, monkeypatch, argv, code, message):
     def no_sampling(*args):

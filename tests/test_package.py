@@ -4,7 +4,8 @@ A function or class counts as used when it is exported in
 ``rsp7.__all__``, referenced somewhere in ``src/`` other than its own
 definition, or named by the benchmark harness in ``bench/*.py`` (which
 wraps library attributes by name).  A definition with none of these
-users is dead code and should be deleted.
+users is dead code and should be deleted.  The export list itself must
+name every public name ``rsp7/__init__.py`` imports.
 """
 
 import ast
@@ -59,3 +60,15 @@ def test_exports_resolve_and_do_not_repeat():
     repeated = [name for name, n in Counter(rsp7.__all__).items() if n > 1]
     assert repeated == []
     assert [name for name in rsp7.__all__ if not hasattr(rsp7, name)] == []
+
+
+def test_every_public_import_is_exported():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    exported = set(rsp7.__all__)
+    assert [name for name in imported if not name.startswith("_") and name not in exported] == []

@@ -66,8 +66,8 @@ def test_alice_basis_is_orthonormal(rng):
 def test_alice_basis_rejects_relative_phase():
     # a relative phase between the amplitudes breaks the real-rotation
     # structure the measurement basis relies on
-    with pytest.raises(ValueError, match="orthonormal"):
-        alice_basis(TargetState(SQ2, SQ2 * 1j))
+    with pytest.raises(ValueError, match="sender basis is not orthonormal"):
+        TargetState(SQ2, SQ2 * 1j)
 
 
 # --------------------------------------------------------------------------
@@ -270,9 +270,10 @@ def test_tracer_finds_every_traced_attribute():
 
 
 def test_run_rsp_rejects_relative_phase_target():
-    # relative phase between the amplitudes is outside the supported family
-    with pytest.raises(ValueError):
-        run_rsp(TargetState(SQ2, SQ2 * 1j), seed=1)
+    # relative phase between the amplitudes is outside the supported family,
+    # so no such target reaches run_rsp
+    with pytest.raises(ValueError, match="sender basis is not orthonormal"):
+        TargetState(0.28, 0.96j)
 
 
 def test_run_rsp_forced_outcome_is_honored():
