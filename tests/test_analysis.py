@@ -318,40 +318,70 @@ def test_sampled_attack_chunks_keep_the_stream(monkeypatch, per_chunk):
     assert worst == max(r.isometry_residual for r in loop)
 
 
-def test_attack_maps_accept_and_reject_the_same_rows(monkeypatch):
-    for env_dim, samples in ((1, 5), (2, 0)):
-        with pytest.raises(ValueError, match="need samples >= 1 and env_dim >= 2"):
-            sample_inside_attacks(KEY00, env_dim, samples, np.random.default_rng(0))
+def _attack_map_rows():
+    """One table of attack maps V: name -> (V, None if it is accepted, else the error)."""
     v = AttackParams.trivial().v
     parallel = np.zeros((4, 2))
     parallel[0] = 1.0
-    rows = (
-        (v, True),
-        (v * (1.0 + 0.4 * analysis.ISOMETRY_TOL), True),
-        (v * (1.0 + analysis.ISOMETRY_TOL), False),
-        (np.where(v == 1.0, np.nan, v), False),
-        (np.where(v == 1.0, np.inf, v), False),
-        (v * [0.5, 1.0], False),  # short first column
-        (v * [1.0, 0.5], False),  # short second column
-        (parallel, False),  # non-orthogonal columns
-        (np.eye(2), False),  # env_dim 1
-        (np.eye(3)[:, :2], False),  # orthonormal columns, but an odd row count
-    )
-    for row, ok in rows:
+    nan_in_e01 = v.copy()
+    nan_in_e01[2, 0] = np.nan
+    return {
+        "isometry": (v, None),
+        "within tolerance": (v * (1.0 + 0.4 * analysis.ISOMETRY_TOL), None),
+        "at tolerance": (v * (1.0 + analysis.ISOMETRY_TOL), r"misses V\^dagger V = I"),
+        "nan": (np.where(v == 1.0, np.nan, v), r"misses V\^dagger V = I by nan"),
+        "inf": (np.where(v == 1.0, np.inf, v), r"misses V\^dagger V = I by nan"),
+        "nan in e01": (nan_in_e01, r"misses V\^dagger V = I by nan"),
+        "short first column": (v * [0.5, 1.0], r"misses V\^dagger V = I by 7.500e-01"),
+        "short second column": (v * [1.0, 0.5], r"misses V\^dagger V = I by 7.500e-01"),
+        "non-orthogonal columns": (parallel, r"misses V\^dagger V = I by 1.000e\+00"),
+        "env_dim 1": (np.eye(2), r"env_dim >= 2, got shape \(2, 2\)"),
+        "odd row count": (np.eye(3)[:, :2], r"env_dim >= 2, got shape \(3, 2\)"),
+    }
+
+
+def _assert_attack_maps_agree(monkeypatch, names):
+    """AttackParams and sample_inside_attacks accept and reject the same rows, alike."""
+    v = AttackParams.trivial().v
+    rows = _attack_map_rows()
+    for name in names:
+        row, error = rows[name]
         # a batch whose second map is the row, or the row alone when it cannot stack
         draws = np.stack([v, row]) if row.shape == v.shape else row[None]
         monkeypatch.setattr(analysis, "_random_isometries", lambda d, n, rng, draws=draws: draws)
         with np.errstate(invalid="ignore"):
-            if ok:
+            if error is None:
                 assert AttackParams(row).env_dim == 2
                 purities, worst = sample_inside_attacks(KEY00, 2, len(draws), None)
                 assert_allclose(purities, 0.5, atol=1e-12)
                 assert worst <= analysis.ISOMETRY_TOL
                 continue
-            with pytest.raises(ValueError, match="attack map"):
+            with pytest.raises(ValueError, match=error):
                 AttackParams(row)
-            with pytest.raises(ValueError, match="attack map"):
+            with pytest.raises(ValueError, match=error):
                 sample_inside_attacks(KEY00, 2, len(draws), None)
+
+
+def test_attack_params_constraint_violations_are_named(monkeypatch):
+    # each violated part of V^dagger V = I, or of V's shape, shows in the message
+    _assert_attack_maps_agree(monkeypatch, (
+        "short first column", "short second column", "non-orthogonal columns",
+        "env_dim 1", "odd row count",
+    ))
+
+
+def test_attack_params_reject_non_finite_fragments(monkeypatch):
+    # a nan makes every residual comparison False, so the check is "not <= tol"
+    _assert_attack_maps_agree(monkeypatch, ("nan", "inf", "nan in e01"))
+
+
+def test_sampled_attacks_reject_non_isometries(monkeypatch):
+    for env_dim, samples in ((1, 5), (2, 0)):
+        with pytest.raises(ValueError, match="need samples >= 1 and env_dim >= 2"):
+            sample_inside_attacks(KEY00, env_dim, samples, np.random.default_rng(0))
+    _assert_attack_maps_agree(monkeypatch, (
+        "isometry", "within tolerance", "at tolerance", "nan", "inf",
+    ))
 
 
 # --------------------------------------------------------------------------
