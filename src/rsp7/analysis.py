@@ -88,9 +88,8 @@ ERROR_MARKER = "impossible-branch"
 #: holds one slice of blocks, about 184 KB per point for ``--model both``.
 MAX_ETA_STEPS = 10_001
 
-#: Most eta points per ``branch_blocks`` call of a sweep.  The grid is cut
-#: into near-equal slices, since numpy reduces a one-point grid in another
-#: order; from 3 on, no slice of a grid of 2 or more points has one point.
+#: Most eta points per ``branch_blocks`` call of a sweep, which bounds the
+#: engine's memory; the grid is cut into near-equal slices.
 _SWEEP_SLICE = 64
 
 
@@ -155,11 +154,15 @@ def _averaged(blocks: np.ndarray, target: TargetState) -> np.ndarray:
     Weighting renormalizes over the supported keys: under bit-type noise
     some probability leaks into helper patterns that never occur in the
     clean protocol, and those aborted rounds carry no output state.
+
+    The keys are added one at a time, in key order: numpy's own reductions
+    pick their order by the shape of the stack, and a one-point grid would
+    then differ in the last bits from the same point inside a longer grid.
     """
     xi = target.ket()
-    num = np.einsum("i,...kij,j->...", xi.conj(), blocks, xi).real
-    den = np.trace(blocks, axis1=-2, axis2=-1).real.sum(axis=-1)
-    return num / den
+    num = ((blocks @ xi) @ xi.conj()).real
+    den = np.trace(blocks, axis1=-2, axis2=-1).real
+    return sum(np.moveaxis(num, -1, 0)) / sum(np.moveaxis(den, -1, 0))
 
 
 def averaged_fidelity(
@@ -167,12 +170,8 @@ def averaged_fidelity(
     spec: NoiseSpec,
     model: EvolutionModel = EvolutionModel.EXACT,
 ) -> float:
-    """Branch-probability-weighted fidelity of the noisy protocol.
-
-    numpy reduces this one-point grid in another order than a longer one, so
-    the result can differ from the ``fidelity_sweep`` row of the same eta in
-    the last bits (by up to 2.2e-15 over 30 targets, six kinds, both models).
-    """
+    """Branch-probability-weighted fidelity of the noisy protocol; equal,
+    bit for bit, to the ``fidelity_sweep`` row of the same eta."""
     blocks = noise_mod.branch_blocks(target, spec.kind, [spec.eta], spec.qubits, model)
     return float(_averaged(blocks[0], target))
 
@@ -183,11 +182,8 @@ def branch_fidelity(
     spec: NoiseSpec,
     model: EvolutionModel = EvolutionModel.EXACT,
 ) -> float:
-    """Fidelity of one forced branch of the noisy protocol.
-
-    Unlike ``averaged_fidelity``, it matched the ``fidelity_sweep`` rows of the
-    same eta bit for bit (all sixteen keys, 30 targets, six kinds, both models).
-    """
+    """Fidelity of one forced branch of the noisy protocol; equal, bit for
+    bit, to the ``fidelity_sweep`` row of the same eta."""
     return fidelity(target.ket(), noise_mod.noisy_rsp_output(target, key, spec, model))
 
 

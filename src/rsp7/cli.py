@@ -82,7 +82,8 @@ def write_sweep_csv(out: TextIO, rows: Sequence[SweepRow], target: TargetState) 
 
 def _cell(value: Optional[float], error: Optional[str]) -> str:
     if value is not None:
-        return _fmt(value)
+        # a fidelity that rounds to zero reads 0.000000000000: its sign is rounding noise
+        return _fmt(value).replace("-0.000000000000", "0.000000000000")
     return analysis.ERROR_MARKER if error else ""
 
 

@@ -12,7 +12,10 @@ from the uniform-index construction, and ``damping_terminal_term`` keeps
 the numerical evidence for that mismatch.
 
 Fidelities are computed by ``branch_blocks`` without building the
-128x128 density matrix.  ``evolved_state``, ``apply_noise``,
+128x128 density matrix: the exact model sends the measured qubits'
+projectors through the dual map, where noise on a helper is a classical
+bit channel, and the truncated model reads its uniform-index vectors in
+the party layout.  ``evolved_state``, ``apply_noise``,
 ``truncated_channel_state`` and ``branch_reduction`` are the direct
 density-matrix construction the engine is checked against.  The
 Monte-Carlo cross-check ``trajectory_estimate`` reads its trajectories
@@ -239,70 +242,15 @@ def _recovery_gates() -> np.ndarray:
     return gates
 
 
-#: Slot of each of ALL_OUTCOME_KEYS among the 32 (sender, helper) outcomes.
-_PICKS = np.array([key.outcome_index for key in ALL_OUTCOME_KEYS])
+#: Sender outcome and helper pattern of each of ALL_OUTCOME_KEYS, whose
+#: first eight keys have sender outcome 1 and the last eight outcome 2.
+_SENDER, _HELPER = np.divmod([key.outcome_index for key in ALL_OUTCOME_KEYS], 16)
 
 
-def _pair_channel(ops: np.ndarray, qubit: int, blocks: np.ndarray) -> np.ndarray:
-    """Forward channel on receiver qubit 2 or 3 of (eta, key, 4, 4) blocks."""
-    # E (x) I for qubit 2, I (x) E for qubit 3
-    kron = "ejab,cd->ejacbd" if qubit == 2 else "ejab,cd->ejcadb"
-    lifted = np.einsum(kron, ops, np.eye(2)).reshape(ops.shape[:2] + (1, 4, 4))
-    out = lifted @ blocks[:, None] @ lifted.conj().swapaxes(-1, -2)
-    return out.sum(axis=1)
-
-
-def _exact_pair_blocks(
-    ops: np.ndarray, noisy: tuple[int, ...], senders: np.ndarray
-) -> np.ndarray:
-    """Receiver-pair blocks before the recovery gates, exact model.
-
-    Tr(N(rho) M) = Tr(rho N^dagger(M)) with N^dagger(P) = sum_j E_j^dagger
-    P E_j, so each measured qubit's projector goes through the dual map;
-    the product of those 2x2 operators is applied to |Psi> one qubit at a
-    time and the result contracted with <Psi|.  The pair keeps its
-    forward channel.  ``ops`` is (eta, Kraus index, 2, 2).
-    """
-    n_eta = len(ops)
-    w = channel.party_layout(channel.build_channel()).reshape(32, 4)
-    bits = np.array([_P0, _P1])
-    # phi[e, outcomes so far, unprocessed measured qubits + pair + processed ones]
-    phi = w.reshape(1, 1, -1)
-    for q in channel.MEASURED_QUBITS:
-        proj = np.einsum("si,sj->sij", senders, senders.conj()) if q == 1 else bits
-        if q in noisy:
-            dual = np.einsum("ejyx,syz,ejzw->esxw", ops.conj(), proj, ops)
-        else:
-            dual = np.broadcast_to(proj, (n_eta,) + proj.shape)
-        # act on the leading qubit, then move it behind the pair
-        out = dual.reshape(n_eta, 1, 4, 2) @ phi.reshape(phi.shape[:2] + (2, -1))
-        out = out.reshape(n_eta, -1, 2, out.shape[-1])
-        phi = out.swapaxes(-1, -2).reshape(n_eta, out.shape[1], -1)
-    # <Psi| closes the measured qubits: r[e, outcome string, b, c]
-    r = phi.reshape(n_eta, 32, 4, 32) @ w.conj()
-    blocks = r[:, _PICKS]
-    for q in (2, 3):
-        if q in noisy:
-            blocks = _pair_channel(ops, q, blocks)
-    return blocks
-
-
-def _truncated_pair_blocks(ops: np.ndarray, senders: np.ndarray) -> np.ndarray:
-    """Receiver-pair blocks before the recovery gates, truncated model.
-
-    Each uniform-index vector v_j = E_j^(x7) |Psi> is contracted like a
-    pure state; the blocks are divided by sum_j |v_j|^2.
-    """
-    n_eta, n_ops = ops.shape[:2]
-    v = np.broadcast_to(channel.build_channel(), (n_eta, n_ops, 128))
-    for q in range(7):
-        t = v.reshape(n_eta, n_ops, 2 ** q, 2, 2 ** (6 - q))
-        v = np.einsum("ejxy,ejlyr->ejlxr", ops, t).reshape(n_eta, n_ops, 128)
-    weight = np.einsum("ejx,ejx->e", v, v.conj()).real
-    layout = channel.party_layout(v).reshape(n_eta, n_ops, 2, 64)
-    amp = (senders.conj() @ layout).reshape(n_eta, n_ops, 32, 4)[:, :, _PICKS]
-    pair = np.einsum("ejkb,ejkc->ekbc", amp, amp.conj())
-    return pair / weight[:, None, None, None]
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product over the last two axes, broadcast over the others."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (out.shape[-4] * out.shape[-3], -1))
 
 
 def branch_blocks(
@@ -316,28 +264,69 @@ def branch_blocks(
 
     ``out[i, k]`` equals ``branch_reduction(evolved_state(NoiseSpec(kind,
     etas[i], qubits), model), target, ALL_OUTCOME_KEYS[k])``, computed
-    without the 128x128 density matrix: the exact model works in the
-    Heisenberg picture (dual Kraus maps on the measured qubits), the
-    truncated model sums over its at most four uniform-index vectors.
+    without the 128x128 density matrix from W = party_layout(Psi), shape
+    (sender, helper pattern, pair).  Blocks are kept as row-major vectors
+    vec(B), on which B -> E B E^dagger is the 16x16 matrix E (x) E*.
+
+    Exact model: Tr(N(rho) M) = Tr(rho N^dagger(M)) with N^dagger(P) =
+    sum_j E_j^dagger P E_j.  No row of a Kraus operator has two nonzero
+    entries, so a noisy helper's dual projector N^dagger(|o><o|) is
+    diag(t[o, :]) with t[o, x] = sum_j |<o|E_j|x>|^2, and the helpers act
+    as the bit channel T = t (x) t (x) t (x) t on their pattern.  Block k is
+    sum_g T[h_k, g] sum_{s,s'} D_a[s, s'] W[s', g] W[s, g]^dagger, with D_a
+    the sender's dual projector, then the pair's forward channel.
+
+    Truncated model: the uniform-index vectors are read in the layout,
+    <u_a|E_j on the sender, E_j^(x4) on the helpers and E_j (x) E_j on the
+    pair; the blocks are divided by sum_j |E_j^(x7) Psi|^2, the weight of
+    all 32 outcomes.  Every block ends with its recovery gates G_k.
     Shape (len(etas), 16, 4, 4).
     """
     if not len(etas):
         raise ValueError("etas must hold at least one value")
     spec = NoiseSpec(kind, etas[0], qubits)  # checks the kind and the qubits once
     ops = kraus_operators(kind, etas)
+    n_eta, n_ops = ops.shape[:2]
     senders = alice_basis(target)
+    w = channel.party_layout(channel.build_channel())
     if model is EvolutionModel.EXACT:
-        pair = _exact_pair_blocks(ops, spec.qubits, senders)
+        sup = _kron(ops, ops.conj()).sum(axis=1)
+        dual_rows = sup[:, ::3]  # conj vec(N^dagger(|o><o|)), o = 0, 1
+        if np.any(dual_rows[:, :, 1:3] != 0):
+            raise ValueError("a Kraus operator row has two nonzero entries")
+        bit = dual_rows[:, :, ::3].real
+        t = {q: bit if q in spec.qubits else np.eye(2)[None] for q in (4, 5, 6, 7)}
+        trans = _kron(_kron(t[4], t[6]), _kron(t[5], t[7]))  # helper bits c1 c2 d1 d2
+        proj = (senders[:, :, None] * senders[:, None].conj()).reshape(2, 4)  # vec(|u_a><u_a|)
+        dual = proj @ sup.conj() if 1 in spec.qubits else proj
+        outer = np.einsum("tgb,sgc->stgbc", w, w.conj()).reshape(4, 256)
+        z = (dual @ outer).reshape(-1, 2, 16, 16)  # (eta, sender outcome, pattern, vec)
+        blocks = (trans[:, _HELPER.reshape(2, 8)] @ z).reshape(-1, 16, 16)
+        if 2 in spec.qubits or 3 in spec.qubits:
+            s2, s3 = ((sup if q in spec.qubits else np.eye(4)[None]).reshape(-1, 2, 2, 2, 2)
+                      for q in (2, 3))
+            # (r2 c2, r2' c2') and (r3 c3, r3' c3') into (r2 r3 c2 c3, r2' r3' c2' c3')
+            pair = (s2[:, :, None, :, None, :, None, :, None]
+                    * s3[:, None, :, None, :, None, :, None, :]).reshape(-1, 16, 16)
+            blocks = blocks @ pair.swapaxes(-1, -2)
     elif model is EvolutionModel.TRUNCATED:
         if not spec.all_seven:
             raise UnsupportedConfigurationError(
                 "the truncated model requires noise on all seven qubits"
             )
-        pair = _truncated_pair_blocks(ops, senders)
+        pair = _kron(ops, ops)
+        sender_pair = _kron(senders.conj() @ ops, pair)
+        by_pattern = w.transpose(1, 0, 2).reshape(16, 8)
+        amp = _kron(pair, pair) @ by_pattern @ sender_pair.swapaxes(-1, -2)
+        weight = np.einsum("ejgx,ejgx->e", amp, amp.conj()).real
+        picked = amp.reshape(n_eta, n_ops, 16, 2, 4)[:, :, _HELPER, _SENDER]
+        blocks = _kron(picked[..., None], picked[..., None].conj()).sum(axis=1)
+        blocks = blocks.reshape(n_eta, 16, 16) / weight[:, None, None]
     else:
         raise TypeError(f"unknown evolution model {model!r}")
     gates = _recovery_gates()
-    out = gates @ pair @ gates.conj().transpose(0, 2, 1)
+    out = blocks[:, :, None] @ _kron(gates, gates.conj()).swapaxes(-1, -2)
+    out = out.reshape(n_eta, 16, 4, 4)
     out.setflags(write=False)
     return out
 

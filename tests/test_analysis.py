@@ -149,6 +149,22 @@ def test_sliced_sweep_rows_equal_one_engine_call(monkeypatch, branch):
     assert (analysis.ERROR_MARKER in {r.error_exact for r in whole}) == (branch is not None)
 
 
+@pytest.mark.parametrize("branch", [None, ALL_OUTCOME_KEYS[13]])
+def test_sweep_rows_equal_one_point_calls_bit_for_bit(branch):
+    # a one-point grid reduces the sixteen keys in the order a longer grid does
+    target = TargetState.random(np.random.default_rng(15))
+    rows = fidelity_sweep(SweepConfig(kinds=tuple(NoiseKind), target=target, branch=branch))
+    for row in rows:
+        spec = NoiseSpec(row.kind, row.eta)
+        for model, want in ((EvolutionModel.EXACT, row.fidelity_exact),
+                            (EvolutionModel.TRUNCATED, row.fidelity_truncated)):
+            if want is None:
+                continue
+            got = (averaged_fidelity(target, spec, model) if branch is None
+                   else branch_fidelity(target, branch, spec, model))
+            assert got == want, (row.kind, row.eta, model)
+
+
 def test_sweep_builds_one_kraus_stack_per_engine_call(monkeypatch):
     calls = []
     build = noise.kraus_operators

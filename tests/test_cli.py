@@ -230,6 +230,16 @@ def test_sweep_branch_with_error_marker(tmp_path, capsys):
     assert out_csv.read_text() == sweep_csv_text(config)
 
 
+def test_sweep_cell_prints_a_vanishing_fidelity_without_sign():
+    # bit-phase flip at eta = 1 on a forced branch can leave -1e-17
+    rows = [analysis.SweepRow(NoiseKind.BIT_PHASE_FLIP, 1.0, "U1,00,10", f, None)
+            for f in (-2.6e-17, -0.0, 0.0)]
+    out = io.StringIO()
+    cli.write_sweep_csv(out, rows, TargetState(0.6, 0.8))
+    cells = [line.split(",")[-2] for line in out.getvalue().splitlines()[1:]]
+    assert cells == ["0.000000000000"] * 3
+
+
 def test_sweep_unwritable_path(tmp_path, capsys, monkeypatch):
     def no_grid(config):
         raise AssertionError("the grid was computed before the path was checked")

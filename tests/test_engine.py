@@ -1,13 +1,17 @@
 """Property tests of the branch-block engine against the density-matrix path
 and the Kraus-string tables."""
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsp7.analysis import averaged_fidelity, branch_fidelity
 from rsp7.noise import (
     ALL_QUBITS,
+    TRANSMITTED_QUBITS,
     EvolutionModel,
     NoiseKind,
     NoiseSpec,
@@ -93,3 +97,34 @@ def test_kraus_strings_give_the_exact_branch_fidelity(target, k, kind, eta, qubi
     x = np.sum(np.abs(recovered) ** 2)
     y = np.sum(np.abs(amp) ** 2)
     assert abs(x / y - want) <= 1e-12
+
+
+SETTINGS = [(ALL_QUBITS, EvolutionModel.EXACT), (TRANSMITTED_QUBITS, EvolutionModel.EXACT),
+            (ALL_QUBITS, EvolutionModel.TRUNCATED)]
+
+
+@pytest.mark.parametrize("qubits, model", SETTINGS)
+def test_one_point_grid_gives_the_bits_of_a_longer_grid(qubits, model):
+    target = TargetState.random(np.random.default_rng(3))
+    grid = np.append(np.linspace(0.0, 1.0, 11), 0.37)
+    for kind in NoiseKind:
+        blocks = branch_blocks(target, kind, grid, qubits, model)
+        for i, eta in enumerate(grid):
+            one = branch_blocks(target, kind, [eta], qubits, model)[0]
+            assert one.tobytes() == blocks[i].tobytes(), (kind, eta)
+
+
+@pytest.mark.parametrize("model", list(EvolutionModel))
+def test_one_call_peaks_below_a_megabyte(model):
+    # eleven points of the largest Kraus set, after a first call has
+    # built the cached channel and recovery gates
+    target = TargetState.random(np.random.default_rng(4))
+    grid = np.linspace(0.0, 1.0, 11)
+    branch_blocks(target, NoiseKind.DEPOLARIZING, grid, ALL_QUBITS, model)
+    tracemalloc.start()
+    try:
+        branch_blocks(target, NoiseKind.DEPOLARIZING, grid, ALL_QUBITS, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

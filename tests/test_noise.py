@@ -83,6 +83,25 @@ def test_kraus_grid_matches_scalar_calls():
             assert ops.tobytes() == kraus_operators(kind, eta).tobytes(), (kind, eta)
 
 
+def test_every_kraus_row_has_at_most_one_nonzero_entry():
+    # the exact engine reads noise on a measured helper as a bit channel,
+    # which needs N^dagger(|o><o|) = sum_j E_j^dagger |o><o| E_j diagonal
+    grid = np.linspace(0.0, 1.0, 11)
+    for kind in NoiseKind:
+        assert np.count_nonzero(kraus_operators(kind, grid), axis=-1).max() <= 1, kind
+
+
+def test_exact_engine_rejects_kraus_rows_with_two_entries(monkeypatch):
+    # a bit flip about a tilted axis is a channel whose helper duals are not diagonal
+    c, s = math.cos(0.3), math.sin(0.3)
+    tilt = np.array([[c, -s], [s, c]])
+    build = noise.kraus_operators
+    monkeypatch.setattr(noise, "kraus_operators",
+                        lambda kind, eta: tilt @ build(kind, eta) @ tilt.T)
+    with pytest.raises(ValueError, match="two nonzero entries"):
+        noise.branch_blocks(BELL, NoiseKind.BIT_FLIP, [0.0, 0.5], (4,))
+
+
 @pytest.mark.parametrize("kind, etas, error, message", [
     pytest.param(NoiseKind.BIT_FLIP, [], ValueError, "etas must hold at least one value",
                  id="empty"),

@@ -9,7 +9,10 @@ name every public name ``rsp7/__init__.py`` imports.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -72,3 +75,22 @@ def test_every_public_import_is_exported():
     ]
     exported = set(rsp7.__all__)
     assert [name for name in imported if not name.startswith("_") and name not in exported] == []
+
+
+def test_import_builds_no_cached_tables():
+    # the channel, the recovery table, the engine's gates and the CLI parser
+    # are built on first use, so `import rsp7` does no engine work
+    probe = (
+        "import sys, rsp7\n"
+        "for name, module in sorted(sys.modules.items()):\n"
+        "    if name.startswith('rsp7'):\n"
+        "        for attr, value in sorted(vars(module).items()):\n"
+        "            if hasattr(value, 'cache_info'):\n"
+        "                print(name, attr, value.cache_info().currsize)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    tables = [line.split() for line in out.splitlines()]
+    assert ["rsp7.noise", "_recovery_gates", "0"] in tables
+    assert [t for t in tables if t[2] != "0"] == []
