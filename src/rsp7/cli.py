@@ -18,7 +18,7 @@ from typing import Callable, Collection, Optional, Sequence, TextIO
 
 import numpy as np
 
-from . import analysis, protocol
+from . import analysis, channel, protocol
 from .analysis import QubitScope, SweepConfig, SweepModel, SweepRow
 from .noise import NoiseKind
 from .protocol import ImpossibleBranchError, OutcomeKey, TargetState
@@ -273,7 +273,7 @@ def _parse_forced_key(text: str) -> OutcomeKey:
     if m is None:
         raise UsageError(f"expected 'U1,cc,dd' or 'U2,cc,dd', got {text!r}")
     alice, charlie, david = int(m.group(1)), m.group(2), m.group(3)
-    if (charlie, david) not in protocol.VALID_PAIRS:
+    if (charlie, david) not in channel.CORRELATED_PAIRS:
         raise ImpossibleBranchError(
             f"forced branch U{alice},{charlie},{david} has probability "
             f"0.000000000000; helper pattern ({charlie},{david}) never occurs",
@@ -387,6 +387,11 @@ MAX_ENV_DIM = 1024
 #: Largest --samples of the inside attack: it holds one 8-byte purity per sample.
 MAX_INSIDE_SAMPLES = 10**7
 
+#: Largest --samples x --env-dim, which bounds the inside attack's time: a sample
+#: takes 3-4 us at env-dim 2 and 0.4-0.5 ms at env-dim 1024 on a 2-CPU machine,
+#: so the largest accepted runs take 8-45 s there.
+MAX_INSIDE_WORK = 2 * 10**7
+
 #: Largest --trials x --decoys: the outside attack holds about 20 bytes per draw.
 MAX_DECOY_DRAWS = 10**8
 
@@ -403,6 +408,8 @@ def _cmd_security(opts: _Options, stdout: TextIO) -> int:
             raise UsageError("--samples must be at least 1")
         if samples > MAX_INSIDE_SAMPLES:
             raise UsageError(f"--samples must be at most {MAX_INSIDE_SAMPLES}")
+        if samples * env_dim > MAX_INSIDE_WORK:
+            raise UsageError(f"--samples x --env-dim must be at most {MAX_INSIDE_WORK}")
         _valid_seed(seed)
         key = protocol.OutcomeKey(1, "00", "00")
         if opts.get("trivial", bool, False):

@@ -157,6 +157,13 @@ def partial_trace(rho: np.ndarray, discard: Iterable[int]) -> np.ndarray:
     return _frozen(t.reshape(2 ** m, 2 ** m))
 
 
+#: Bounds of ``DensityReport.within``: the largest hermiticity and trace
+#: residuals and the smallest eigenvalue it accepts.
+HERMITICITY_TOL = 1e-10
+TRACE_TOL = 1e-10
+MIN_EIGENVALUE_FLOOR = -1e-9
+
+
 @dataclass(frozen=True)
 class DensityReport:
     """Numerical health of a density matrix."""
@@ -165,16 +172,11 @@ class DensityReport:
     trace_residual: float
     min_eigenvalue: float
 
-    def within(
-        self,
-        herm_tol: float = 1e-10,
-        trace_tol: float = 1e-10,
-        eig_floor: float = -1e-9,
-    ) -> bool:
+    def within(self) -> bool:
         return (
-            self.hermiticity_residual <= herm_tol
-            and self.trace_residual <= trace_tol
-            and self.min_eigenvalue >= eig_floor
+            self.hermiticity_residual <= HERMITICITY_TOL
+            and self.trace_residual <= TRACE_TOL
+            and self.min_eigenvalue >= MIN_EIGENVALUE_FLOOR
         )
 
 

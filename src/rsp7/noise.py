@@ -27,7 +27,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -53,6 +52,7 @@ from .protocol import (
     TargetState,
     gate_matrix,
     recovery_sequence,
+    table_report,
 )
 
 ALL_QUBITS = (1, 2, 3, 4, 5, 6, 7)
@@ -228,20 +228,6 @@ def branch_reduction(rho: np.ndarray, target: TargetState, key: OutcomeKey) -> n
     return partial_trace(rho, [1, 4, 5, 6, 7])
 
 
-@lru_cache(maxsize=1)
-def _recovery_gates() -> np.ndarray:
-    """Each key's whole recovery sequence as one 4x4 matrix, in
-    ALL_OUTCOME_KEYS order."""
-    gates = np.empty((len(ALL_OUTCOME_KEYS), 4, 4), dtype=np.complex128)
-    for i, key in enumerate(ALL_OUTCOME_KEYS):
-        gate = np.eye(4, dtype=np.complex128)
-        for tok in recovery_sequence(key):
-            gate = gate_matrix(tok) @ gate
-        gates[i] = gate
-    gates.setflags(write=False)
-    return gates
-
-
 #: Sender outcome and helper pattern of each of ALL_OUTCOME_KEYS, whose
 #: first eight keys have sender outcome 1 and the last eight outcome 2.
 _SENDER, _HELPER = np.divmod([key.outcome_index for key in ALL_OUTCOME_KEYS], 16)
@@ -324,7 +310,7 @@ def branch_blocks(
         blocks = blocks.reshape(n_eta, 16, 16) / weight[:, None, None]
     else:
         raise TypeError(f"unknown evolution model {model!r}")
-    gates = _recovery_gates()
+    gates = np.array([rule.matrix for rule in table_report()])
     out = blocks[:, :, None] @ _kron(gates, gates.conj()).swapaxes(-1, -2)
     out = out.reshape(n_eta, 16, 4, 4)
     out.setflags(write=False)
@@ -475,7 +461,8 @@ def trajectory_estimate(
         raise ValueError("n_samples must be at least 1")
     amp, weights = _string_tables(target, key, spec)
     n_ops, p_s = len(weights[0]), weights[-1]
-    g = _recovery_gates()[ALL_OUTCOME_KEYS.index(key)].conj().T @ target.ket()  # <xi| G w = vdot(g, w)
+    gate = table_report()[ALL_OUTCOME_KEYS.index(key)].matrix
+    g = gate.conj().T @ target.ket()  # <xi| G w = vdot(g, w)
     # per string s: p_s x_s, the recovered overlap, and p_s y_s, the branch weight
     px = np.abs(amp @ g.conj()) ** 2
     py = np.einsum("si,si->s", amp, amp.conj()).real

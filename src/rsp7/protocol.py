@@ -9,19 +9,20 @@ target's table of branch amplitudes instead of collapsing the register.
 
 The published gate table for that last step contains defects: two rows
 carry a helper-outcome label that never occurs, and one row's gate list
-does not map its collapsed state to the target.  ``recovery_table``
-therefore audits every row against the factor-state blocks at build
-time, re-keys rows whose printed label is impossible, and replaces
-broken gate lists with the shortest working sequence found by
-breadth-first search over the published gate alphabet.  The audit trail
-is available through ``table_report``.
+does not map its collapsed state to the target.  ``table_report`` audits
+the printed rows by position: row i belongs to ``ALL_OUTCOME_KEYS[i]``,
+whose factor block (``channel._F1_BLOCKS``/``_F2_BLOCKS``) is the state
+column the row prints.  A row whose label names an impossible helper
+pattern is re-keyed to its key, and a gate list that fails on that
+key's blocks is replaced by the shortest working sequence found by
+breadth-first search over the published gate alphabet.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
@@ -96,10 +97,6 @@ class TargetState:
         return cls(phase * math.cos(t), phase * math.sin(t))
 
 
-#: Helper outcome patterns (charlie, david) that occur with nonzero probability.
-VALID_PAIRS = channel.CORRELATED_PAIRS
-
-
 @dataclass(frozen=True)
 class OutcomeKey:
     """One protocol branch: sender outcome 1|2 plus helper bit patterns."""
@@ -114,7 +111,7 @@ class OutcomeKey:
         for name, bits in (("charlie", self.charlie), ("david", self.david)):
             if len(bits) != 2 or any(c not in "01" for c in bits):
                 raise ValueError(f"{name} outcome must be two bits, got {bits!r}")
-        if (self.charlie, self.david) not in VALID_PAIRS:
+        if (self.charlie, self.david) not in channel.CORRELATED_PAIRS:
             raise ValueError(
                 f"helper outcome ({self.charlie}, {self.david}) is not one of "
                 f"the eight correlated patterns"
@@ -131,7 +128,7 @@ class OutcomeKey:
 
 
 ALL_OUTCOME_KEYS: tuple[OutcomeKey, ...] = tuple(
-    OutcomeKey(a, c, d) for a in (1, 2) for (c, d) in VALID_PAIRS
+    OutcomeKey(a, c, d) for a in (1, 2) for (c, d) in channel.CORRELATED_PAIRS
 )
 
 # Receiver gate alphabet: 4x4 matrices on the pair (B1, B2), B1 most
@@ -152,8 +149,6 @@ GATE_MATRICES = {
 for _m in GATE_MATRICES.values():
     _m.setflags(write=False)
 
-_GATE_ORDER = ("CX12", "CX21", "H1", "H2", "X1", "X2", "Z1", "Z2")
-
 
 def gate_matrix(token: str) -> np.ndarray:
     try:
@@ -162,49 +157,36 @@ def gate_matrix(token: str) -> np.ndarray:
         raise ValueError(f"unknown gate token {token!r}") from None
 
 
-def _apply_sequence(gates: Sequence[str], vec: np.ndarray) -> np.ndarray:
-    out = vec
-    for tok in gates:  # left-to-right: first listed gate acts first
+def _compose(gates: Sequence[str]) -> np.ndarray:
+    """A gate list as one read-only 4x4 matrix; the first listed gate acts first."""
+    out = np.eye(4, dtype=np.complex128)
+    for tok in gates:
         out = gate_matrix(tok) @ out
+    out.setflags(write=False)
     return out
 
 
-# The published recovery table, row for row, including its defects.
-# Bob-state coefficients are kept so rows with an impossible helper label
-# can be re-keyed by matching them against the true factor blocks.
+# The published recovery table, row for row, including its defects: the
+# sender outcome, the printed helper label and the printed gate list.  Row i
+# stands where ALL_OUTCOME_KEYS[i] belongs; its printed receiver-state column
+# is that key's factor block in ``channel``, term for term.
 _PRINTED_ROWS = (
-    (1, "00", "00", (("a", "00", 1), ("b", "10", 1), ("a", "11", 1), ("b", "01", -1)),
-     ("CX12", "H1", "Z1")),
-    (1, "01", "01", (("a", "01", 1), ("b", "11", 1), ("a", "10", 1), ("b", "00", -1)),
-     ("CX12", "H1", "X2", "Z1")),
-    (1, "10", "00", (("a", "01", -1), ("b", "11", 1), ("a", "10", -1), ("b", "00", -1)),
-     ("CX12", "H1", "Z1", "Z2", "X2")),
-    (1, "11", "01", (("a", "00", 1), ("b", "10", -1), ("a", "11", 1), ("b", "01", 1)),
-     ("CX12", "H1")),
-    (1, "00", "10", (("a", "01", -1), ("b", "11", 1), ("a", "10", 1), ("b", "00", 1)),
-     ("CX12", "H1", "Z1", "X1", "X2")),
-    (1, "10", "10", (("a", "00", 1), ("b", "10", 1), ("a", "11", -1), ("b", "01", 1)),
-     ("CX12", "H1", "Z2", "X1", "CX21")),
-    (1, "10", "11", (("a", "00", 1), ("b", "10", -1), ("a", "11", -1), ("b", "01", -1)),
-     ("CX12", "H1", "Z2", "X1")),
-    (1, "11", "11", (("a", "01", 1), ("b", "11", 1), ("a", "10", -1), ("b", "00", 1)),
-     ("CX12", "H1", "X2", "X1")),
-    (2, "00", "00", (("a", "10", 1), ("b", "00", -1), ("a", "01", -1), ("b", "11", -1)),
-     ("CX12", "H1", "Z1", "X1", "X2", "Z1")),
-    (2, "01", "01", (("a", "11", 1), ("b", "01", -1), ("a", "00", -1), ("b", "10", -1)),
-     ("CX12", "H1", "Z2", "Z1", "X1")),
-    (2, "10", "00", (("a", "11", 1), ("b", "01", 1), ("a", "00", -1), ("b", "10", 1)),
-     ("CX12", "H1", "Z1", "X1")),
-    (2, "11", "01", (("a", "10", -1), ("b", "00", -1), ("a", "01", 1), ("b", "11", -1)),
-     ("CX12", "H1", "X1", "X2", "Z1")),
-    (2, "00", "10", (("a", "11", 1), ("b", "01", 1), ("a", "00", 1), ("b", "10", -1)),
-     ("CX12", "H1")),
-    (2, "10", "10", (("a", "10", 1), ("b", "00", -1), ("a", "01", 1), ("b", "11", 1)),
-     ("CX12", "H1", "Z1", "X2")),
-    (2, "10", "11", (("a", "10", -1), ("b", "00", -1), ("a", "01", -1), ("b", "11", 1)),
-     ("CX12", "H1", "Z1", "Z2", "X2")),
-    (2, "11", "11", (("a", "11", 1), ("b", "01", -1), ("a", "00", 1), ("b", "10", 1)),
-     ("CX12", "H1", "Z1")),
+    (1, "00", "00", ("CX12", "H1", "Z1")),
+    (1, "01", "01", ("CX12", "H1", "X2", "Z1")),
+    (1, "10", "00", ("CX12", "H1", "Z1", "Z2", "X2")),
+    (1, "11", "01", ("CX12", "H1")),
+    (1, "00", "10", ("CX12", "H1", "Z1", "X1", "X2")),
+    (1, "10", "10", ("CX12", "H1", "Z2", "X1", "CX21")),
+    (1, "10", "11", ("CX12", "H1", "Z2", "X1")),
+    (1, "11", "11", ("CX12", "H1", "X2", "X1")),
+    (2, "00", "00", ("CX12", "H1", "Z1", "X1", "X2", "Z1")),
+    (2, "01", "01", ("CX12", "H1", "Z2", "Z1", "X1")),
+    (2, "10", "00", ("CX12", "H1", "Z1", "X1")),
+    (2, "11", "01", ("CX12", "H1", "X1", "X2", "Z1")),
+    (2, "00", "10", ("CX12", "H1")),
+    (2, "10", "10", ("CX12", "H1", "Z1", "X2")),
+    (2, "10", "11", ("CX12", "H1", "Z1", "Z2", "X2")),
+    (2, "11", "11", ("CX12", "H1", "Z1")),
 )
 
 _MAX_REPAIR_LENGTH = 6
@@ -212,15 +194,22 @@ _MAX_REPAIR_LENGTH = 6
 
 @dataclass(frozen=True)
 class RecoveryRule:
-    """Verified receiver gate sequence for one outcome key."""
+    """Verified receiver gate sequence for one outcome key, with its audit."""
 
     key: OutcomeKey
     gates: tuple[str, ...]
-    status: str  # "verified" | "rekeyed" | "repaired" | "rekeyed+repaired"
-    printed_pair: Optional[tuple[str, str]] = None
-    printed_gates: Optional[tuple[str, ...]] = None
-    printed_gate_defect: float = 0.0
-    gate_defect: float = 0.0  # defect of ``gates`` themselves, at most GATE_TOL
+    matrix: np.ndarray = field(compare=False, repr=False)  # ``gates`` as one 4x4 matrix
+    gate_defect: float  # defect of ``gates`` themselves, at most GATE_TOL
+    printed_pair: Optional[tuple[str, str]]  # the printed helper label, if it differs
+    printed_gates: tuple[str, ...]
+    printed_gate_defect: float
+
+    @property
+    def status(self) -> str:
+        """One of "verified", "rekeyed", "repaired" and "rekeyed+repaired"."""
+        if self.printed_gate_defect <= GATE_TOL:
+            return "verified" if self.printed_pair is None else "rekeyed"
+        return "repaired" if self.printed_pair is None else "rekeyed+repaired"
 
 
 def _block_pair(key: OutcomeKey) -> tuple[np.ndarray, np.ndarray]:
@@ -247,7 +236,8 @@ def _pair_defect(w0: np.ndarray, w1: np.ndarray) -> float:
 
 def _sequence_defect(gates: Sequence[str], blocks: tuple[np.ndarray, np.ndarray]) -> float:
     """Distance of a gate list from being a correct recovery (0 = correct)."""
-    return _pair_defect(_apply_sequence(gates, blocks[0]), _apply_sequence(gates, blocks[1]))
+    g = _compose(gates)
+    return _pair_defect(g @ blocks[0], g @ blocks[1])
 
 
 def _canon(w0: np.ndarray, w1: np.ndarray) -> tuple:
@@ -275,8 +265,7 @@ def _search_sequence(blocks: tuple[np.ndarray, np.ndarray]) -> tuple[str, ...]:
         gates, (w0, w1) = queue.popleft()
         if len(gates) >= _MAX_REPAIR_LENGTH:
             continue
-        for tok in _GATE_ORDER:
-            m = GATE_MATRICES[tok]
+        for tok, m in GATE_MATRICES.items():
             nxt = (m @ w0, m @ w1)
             cand = gates + (tok,)
             if _pair_defect(*nxt) <= GATE_TOL:
@@ -292,56 +281,23 @@ def _search_sequence(blocks: tuple[np.ndarray, np.ndarray]) -> tuple[str, ...]:
 def table_report() -> tuple[RecoveryRule, ...]:
     """Audit of all sixteen published rows (verifications, re-keys,
     repairs), one rule per key in ALL_OUTCOME_KEYS order."""
-    claimed: dict[OutcomeKey, tuple] = {}
-    orphans = []
-    for alice, c, d, coeffs, gates in _PRINTED_ROWS:
-        if (c, d) in VALID_PAIRS:
-            claimed[OutcomeKey(alice, c, d)] = (coeffs, gates, None)
-        else:
-            orphans.append((alice, c, d, coeffs, gates))
-
-    # Rows whose printed helper label cannot occur are matched to an
-    # unclaimed branch through their printed receiver-state column.
-    unclaimed = [k for k in ALL_OUTCOME_KEYS if k not in claimed]
-    for alice, c, d, coeffs, gates in orphans:
-        printed = (channel.block_vector(coeffs, 1.0, 0.0), channel.block_vector(coeffs, 0.0, 1.0))
-        match = None
-        for key in unclaimed:
-            if key.alice == alice and all(
-                abs(abs(np.vdot(p, b)) - 1.0) <= 1e-12 for p, b in zip(printed, _block_pair(key))
-            ):
-                match = key
-                break
-        if match is None:
-            raise RuntimeError(f"printed row U{alice},{c},{d} matches no unclaimed branch")
-        unclaimed.remove(match)
-        claimed[match] = (coeffs, gates, (c, d))
-    if unclaimed:
-        raise RuntimeError(f"branches without any printed row: {unclaimed}")
-
     rules = []
-    for key in ALL_OUTCOME_KEYS:
-        coeffs, gates, printed_pair = claimed[key]
+    for key, (alice, c, d, printed) in zip(ALL_OUTCOME_KEYS, _PRINTED_ROWS, strict=True):
+        printed_pair = None if (c, d) == (key.charlie, key.david) else (c, d)
+        if alice != key.alice or printed_pair in channel.CORRELATED_PAIRS:
+            raise RuntimeError(f"printed row U{alice},{c},{d} stands where {key.label()} belongs")
         blocks = _block_pair(key)
-        defect = _sequence_defect(gates, blocks)
-        if defect <= GATE_TOL:
-            status = "verified" if printed_pair is None else "rekeyed"
-            final, final_defect = tuple(gates), defect
-            printed_gates = None if printed_pair is None else tuple(gates)
-        else:
-            status = "repaired" if printed_pair is None else "rekeyed+repaired"
-            final = _search_sequence(blocks)
-            final_defect = _sequence_defect(final, blocks)
-            printed_gates = tuple(gates)
+        defect = _sequence_defect(printed, blocks)
+        gates = printed if defect <= GATE_TOL else _search_sequence(blocks)
         rules.append(
             RecoveryRule(
                 key=key,
-                gates=final,
-                status=status,
+                gates=gates,
+                matrix=_compose(gates),
+                gate_defect=_sequence_defect(gates, blocks),
                 printed_pair=printed_pair,
-                printed_gates=printed_gates,
-                printed_gate_defect=float(defect),
-                gate_defect=float(final_defect),
+                printed_gates=printed,
+                printed_gate_defect=defect,
             )
         )
     return tuple(rules)
@@ -470,8 +426,8 @@ def run_rsp(
     # the helper index reads as the four bits c1 c2 d1 d2
     bits = format(cd_idx, "04b")
     key = OutcomeKey(a_idx + 1, bits[:2], bits[2:])
-    gates = recovery_sequence(key)
-    vec = _apply_sequence(gates, amp[a_idx, cd_idx])
+    rule = table_report()[ALL_OUTCOME_KEYS.index(key)]
+    vec = rule.matrix @ amp[a_idx, cd_idx]
     nrm = np.linalg.norm(vec)
     if nrm < 1e-12:
         raise ImpossibleBranchError("empty receiver branch", float(nrm) ** 2)
@@ -482,7 +438,7 @@ def run_rsp(
         target=target,
         outcome=key,
         branch_probability=float(p_a * p_cd),
-        gates=gates,
+        gates=rule.gates,
         bob_state=bob,
         fidelity=fid,
     )

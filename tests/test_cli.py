@@ -503,6 +503,24 @@ def test_security_inside_samples_limit(capsys, monkeypatch):
     assert out.startswith("attack: sampled entangling maps (n=10000000, env_dim=2, seed=0)")
 
 
+def test_security_inside_work_limit(capsys, monkeypatch):
+    class Called(Exception):
+        pass
+
+    def sampler(key, env_dim, samples, rng):
+        raise Called(samples * env_dim)
+
+    monkeypatch.setattr(cli.analysis, "sample_inside_attacks", sampler)
+    argv = ["security", "--mode", "inside", "--samples"]
+    for samples, env_dim, extra in ((19_532, 1024, []), (6_666_667, 3, []),
+                                    (19_532, 1024, ["--trivial"])):
+        code, out, err = run_cli(argv + [str(samples), "--env-dim", str(env_dim)] + extra, capsys)
+        assert code == 2 and out == ""
+        assert err == "error: --samples x --env-dim must be at most 20000000\n"
+    with pytest.raises(Called):
+        main(argv + ["19531", "--env-dim", "1024"])
+
+
 def test_security_decoy_draws_limit(capsys, monkeypatch):
     class Called(Exception):
         pass

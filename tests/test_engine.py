@@ -15,13 +15,12 @@ from rsp7.noise import (
     EvolutionModel,
     NoiseKind,
     NoiseSpec,
-    _recovery_gates,
     _string_tables,
     branch_blocks,
     branch_reduction,
     evolved_state,
 )
-from rsp7.protocol import ALL_OUTCOME_KEYS, ImpossibleBranchError, TargetState
+from rsp7.protocol import ALL_OUTCOME_KEYS, ImpossibleBranchError, TargetState, table_report
 
 targets = st.integers(0, 2**32 - 1).map(
     lambda seed: TargetState.random(np.random.default_rng(seed))
@@ -93,7 +92,7 @@ def test_kraus_strings_give_the_exact_branch_fidelity(target, k, kind, eta, qubi
         want = branch_fidelity(target, key, spec, EvolutionModel.EXACT)
     except ImpossibleBranchError:
         return
-    recovered = amp @ _recovery_gates()[k].T @ target.ket().conj()
+    recovered = amp @ table_report()[k].matrix.T @ target.ket().conj()
     x = np.sum(np.abs(recovered) ** 2)
     y = np.sum(np.abs(amp) ** 2)
     assert abs(x / y - want) <= 1e-12

@@ -78,10 +78,10 @@ def test_every_public_import_is_exported():
 
 
 def test_import_builds_no_cached_tables():
-    # the channel, the recovery table, the engine's gates and the CLI parser
-    # are built on first use, so `import rsp7` does no engine work
+    # the channel, the recovery table and the CLI parser are built on first
+    # use, so `import rsp7` does no engine work
     probe = (
-        "import sys, rsp7\n"
+        "import sys, rsp7, rsp7.cli\n"
         "for name, module in sorted(sys.modules.items()):\n"
         "    if name.startswith('rsp7'):\n"
         "        for attr, value in sorted(vars(module).items()):\n"
@@ -92,5 +92,6 @@ def test_import_builds_no_cached_tables():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path}).stdout
     tables = [line.split() for line in out.splitlines()]
-    assert ["rsp7.noise", "_recovery_gates", "0"] in tables
+    assert ["rsp7.protocol", "table_report", "0"] in tables
+    assert ["rsp7.cli", "build_parser", "0"] in tables
     assert [t for t in tables if t[2] != "0"] == []

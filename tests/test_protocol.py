@@ -162,21 +162,27 @@ def test_table_report_structure():
                                         OutcomeKey(2, "01", "11")}
     assert all(r.printed_pair == ("10", "11") for r in rekeyed)
     assert all(r.gate_defect <= protocol.GATE_TOL for r in rules)
+    assert [r.printed_gates for r in rules] == [row[-1] for row in protocol._PRINTED_ROWS]
     fixed = repaired[0]
     assert fixed.gate_defect == protocol._sequence_defect(
         fixed.gates, protocol._block_pair(fixed.key)
     )
 
 
+def test_rule_matrix_is_its_gates_first_gate_first():
+    for rule in table_report():
+        g = np.eye(4, dtype=complex)
+        for token in rule.gates:
+            g = gate_matrix(token) @ g
+        assert np.array_equal(rule.matrix, g), rule.key.label()
+        assert not rule.matrix.flags.writeable
+
+
 def test_every_rule_maps_blocks_to_target_form():
     # G b10 = phi |00>, G b01 = phi |11> with one common phase per rule:
     # that is exactly the property making the rule valid for all targets
-    t = TargetState(0.6, 0.8)
-    for key in ALL_OUTCOME_KEYS:
-        gates = recovery_sequence(key)
-        g = np.eye(4, dtype=complex)
-        for token in gates:
-            g = gate_matrix(token) @ g
+    for rule in table_report():
+        key, g = rule.key, rule.matrix
         b10 = channel.factor_block(key.alice, key.charlie, key.david,
                                    TargetState(1.0, 0.0))
         b01 = channel.factor_block(key.alice, key.charlie, key.david,
@@ -188,7 +194,20 @@ def test_every_rule_maps_blocks_to_target_form():
         assert_allclose(w0[1:], 0.0, atol=1e-12)
         assert_allclose(w1[:3], 0.0, atol=1e-12)
         assert abs(w0[0] - w1[3]) <= 1e-12
-        _ = t  # documented above; per-target check happens via linearity
+
+
+def test_printed_row_naming_another_key_is_rejected(monkeypatch):
+    # row 6 prints the impossible label (10, 11); a valid label of another
+    # key in its place cannot be re-keyed and fails the audit
+    rows = list(protocol._PRINTED_ROWS)
+    rows[6] = (1, "11", "11", rows[6][-1])
+    monkeypatch.setattr(protocol, "_PRINTED_ROWS", tuple(rows))
+    table_report.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="U1,11,11 stands where U1,01,11 belongs"):
+            table_report()
+    finally:
+        table_report.cache_clear()
 
 
 def test_recovery_sequence_unknown_key():
