@@ -144,7 +144,7 @@ class SweepRow:
             ("fidelity_exact", self.fidelity_exact),
             ("fidelity_truncated", self.fidelity_truncated),
         ):
-            if f is not None and not -1e-10 <= f <= 1.0 + 1e-10:
+            if f is not None and not -protocol.FIDELITY_TOL <= f <= 1.0 + protocol.FIDELITY_TOL:
                 raise ValueError(f"{name}={f!r} outside [0, 1] tolerance band")
 
 
@@ -429,6 +429,9 @@ DECOY_BASES = np.array(
     dtype=np.complex128,
 )
 
+#: Draws per chunk of ``outside_attack_sim``: few enough to stay cache-resident.
+_OUTSIDE_CELLS = 2**16
+
 
 @dataclass(frozen=True)
 class DetectionEstimate:
@@ -451,12 +454,15 @@ def outside_attack_sim(
     trials: int = 10000,
     seed: int = 0,
 ) -> DetectionEstimate:
-    """Monte-Carlo detection probability of an intercept-and-resend attack.
+    """Monte-Carlo detection probability of an outside attack on decoys.
 
-    Every measurement is sampled from amplitudes: the overlap table of
-    the two bases is squared into Born weights, the attacker's outcome
-    and the verifier's outcome are both drawn from it, and a trial counts
-    as detected when any decoy verifies to the wrong state.
+    Each decoy draws one code ``c = 4 prep_basis + 2 prep_bit + attacker_basis``
+    (attacker basis 0 under ``MEASURE_RESEND``); the attacker reads 1 with
+    probability ``eve1[c]`` and the verifier the wrong bit with probability
+    ``wrong[2 c + attacker outcome]``, squared overlaps of ``DECOY_BASES``
+    sampled with one uniform each. A trial is detected when any decoy verifies
+    wrong. Chunk i, about ``_OUTSIDE_CELLS`` draws as (decoys, trials) or slabs
+    of one trial's decoys, draws from child i of ``SeedSequence(seed)``.
     """
     n_decoys = int(n_decoys)
     if n_decoys < 1:
@@ -466,31 +472,35 @@ def outside_attack_sim(
         raise ValueError("trials must be at least 1")
     if not isinstance(strategy, OutsideStrategy):
         raise TypeError(f"unknown strategy {strategy!r}")
-    rng = np.random.default_rng(seed)
 
-    # born[m*8 + o*4 + p*2 + i] = |<basis_m, outcome o | basis_p, state i>|^2
-    overlap = np.einsum("moa,pia->mopi", DECOY_BASES.conj(), DECOY_BASES)
-    born = (np.abs(overlap) ** 2).ravel()
-
-    # each draw is held as int8; the int64 draws keep the seeded stream
-    shape = (trials, n_decoys)
-    prep_basis = rng.integers(2, size=shape).astype(np.int8)
-    prep_bit = rng.integers(2, size=shape).astype(np.int8)
-    if strategy is OutsideStrategy.INTERCEPT_RESEND:
-        eve_basis = rng.integers(2, size=shape).astype(np.int8)
-    else:
-        eve_basis = np.zeros(shape, dtype=np.int8)
-
-    p_eve0 = born[eve_basis * 8 + prep_basis * 2 + prep_bit]
-    eve_out = (rng.random(shape) >= p_eve0).astype(np.int8)
-    del p_eve0  # freed before the second gather, which sets the peak
-    # the decoy is resent as the attacker's post-measurement state and
-    # verified in the preparation basis
-    p_ver0 = born[prep_basis * 8 + eve_basis * 2 + eve_out]
-    ver_out = rng.random(shape) >= p_ver0
-    detected = (ver_out != prep_bit).any(axis=1)
-
-    p_hat = float(detected.mean())
+    # born[m, o, p, i] = |<basis_m, outcome o | basis_p, state i>|^2
+    born = np.abs(np.einsum("moa,pia->mopi", DECOY_BASES.conj(), DECOY_BASES)) ** 2
+    prep_basis, prep_bit, eve_basis = np.unravel_index(np.arange(8), (2, 2, 2))
+    eve1 = born[eve_basis, 1, prep_basis, prep_bit]
+    wrong = born[prep_basis[:, None], 1 - prep_bit[:, None], eve_basis[:, None], [0, 1]].ravel()
+    per_chunk = max(1, _OUTSIDE_CELLS // n_decoys)  # trials
+    # shared by all chunks: arrays made afresh per chunk page-fault on every chunk
+    size = min(n_decoys, _OUTSIDE_CELLS) * per_chunk
+    codes, uniforms, probs = (np.empty(size, dtype=t) for t in (np.intp, float, float))
+    root = np.random.SeedSequence(seed)
+    detected = 0
+    for first in range(0, trials, per_chunk):
+        rng = np.random.default_rng(root.spawn(1)[0])  # child i of spawn(n), none held
+        hit = np.zeros(min(per_chunk, trials - first), dtype=bool)
+        for row in range(0, n_decoys, _OUTSIDE_CELLS):  # one slab unless n_decoys > cells
+            shape = (min(_OUTSIDE_CELLS, n_decoys - row), hit.size)
+            c, u, p = (b[: shape[0] * shape[1]].reshape(shape) for b in (codes, uniforms, probs))
+            c[...] = rng.integers(8, size=shape, dtype=np.uint8)  # intp gathers faster
+            if strategy is OutsideStrategy.MEASURE_RESEND:
+                c &= 6
+            # mode="clip" writes to out directly; every code is in range
+            eve_out = rng.random(out=u) < eve1.take(c, out=p, mode="clip")
+            c <<= 1
+            c += eve_out
+            hit |= np.logical_or.reduce(rng.random(out=u) < wrong.take(c, out=p, mode="clip"),
+                                        axis=0)
+        detected += int(np.count_nonzero(hit))
+    p_hat = detected / trials
     se = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return DetectionEstimate(probability=p_hat, std_error=se, n_trials=trials)
 

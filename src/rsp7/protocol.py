@@ -33,12 +33,22 @@ from .channel import alice_basis
 from .linalg import CX, H, I2, X, Z, ket, n_qubits, tensor
 from .linalg import apply_to_qubits  # noqa: F401  bench/tracing.py wraps protocol.apply_to_qubits
 
+#: Largest | |alpha|^2 + |beta|^2 - 1 | of a target.
+_NORM_TOL = 1e-10
 #: Largest |<u1|u2>| of a supported target's sender basis.
 _ORTHO_TOL = 1e-12
+#: Largest entry of B B^dagger - I of a basis ``measure_projective`` accepts.
+_BASIS_TOL = 1e-10
 #: A branch whose probability falls below this floor counts as impossible.
 MIN_BRANCH_PROBABILITY = 1e-14
+#: ``run_rsp`` reads a receiver pair of smaller norm as an empty branch.
+_EMPTY_NORM = 1e-12
+#: Smallest amplitude ``_pair_defect`` and ``_canon`` take as a phase reference.
+_PHASE_FLOOR = 1e-9
 #: Largest ``_sequence_defect`` of a gate list that counts as a correct recovery.
 GATE_TOL = 1e-10
+#: How far outside [0, 1] a ``SweepRow`` fidelity may lie by rounding.
+FIDELITY_TOL = 1e-10
 
 
 class ImpossibleBranchError(RuntimeError):
@@ -73,8 +83,8 @@ class TargetState:
         if not np.isfinite([a, b]).all():
             raise ValueError(f"amplitudes must be finite, got alpha={a!r}, beta={b!r}")
         norm = abs(a) ** 2 + abs(b) ** 2
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"|alpha|^2 + |beta|^2 = {norm!r} is not 1 within 1e-10")
+        if abs(norm - 1.0) > _NORM_TOL:
+            raise ValueError(f"|alpha|^2 + |beta|^2 = {norm!r} is not 1 within {_NORM_TOL}")
         # <u1|u2> = conj(alpha) (-beta) + conj(beta) alpha
         if abs(b.conjugate() * a - a.conjugate() * b) > _ORTHO_TOL:
             raise ValueError(
@@ -227,7 +237,7 @@ def _block_pair(key: OutcomeKey) -> tuple[np.ndarray, np.ndarray]:
 def _pair_defect(w0: np.ndarray, w1: np.ndarray) -> float:
     """Distance of (w0, w1) from (phi|00>, phi|11>) with one common phase."""
     phase = w0[0]
-    if abs(phase) < 1e-9:
+    if abs(phase) < _PHASE_FLOOR:
         return float(max(np.linalg.norm(w0 - ket("00")), np.linalg.norm(w1 - ket("11"))))
     r0 = np.linalg.norm(w0 - phase * ket("00"))
     r1 = np.linalg.norm(w1 - phase * ket("11"))
@@ -243,7 +253,7 @@ def _sequence_defect(gates: Sequence[str], blocks: tuple[np.ndarray, np.ndarray]
 def _canon(w0: np.ndarray, w1: np.ndarray) -> tuple:
     both = np.concatenate([w0, w1])
     for v in both:
-        if abs(v) > 1e-9:
+        if abs(v) > _PHASE_FLOOR:
             both = both * (np.conj(v) / abs(v))
             break
     return tuple(np.round(both, 9).tolist())
@@ -341,7 +351,7 @@ def measure_projective(
     if len(basis) != 2 ** k or any(b.shape != (2 ** k,) for b in basis):
         raise ValueError(f"basis must hold {2 ** k} states of dimension {2 ** k}")
     basis = np.array(basis)
-    if np.max(np.abs(basis.conj() @ basis.T - np.eye(2 ** k))) > 1e-10:
+    if np.max(np.abs(basis.conj() @ basis.T - np.eye(2 ** k))) > _BASIS_TOL:
         raise ValueError("measurement basis is not orthonormal")
     if (forced is None) == (rng is None):
         raise ValueError("provide exactly one of forced= or rng=")
@@ -429,7 +439,7 @@ def run_rsp(
     rule = table_report()[ALL_OUTCOME_KEYS.index(key)]
     vec = rule.matrix @ amp[a_idx, cd_idx]
     nrm = np.linalg.norm(vec)
-    if nrm < 1e-12:
+    if nrm < _EMPTY_NORM:
         raise ImpossibleBranchError("empty receiver branch", float(nrm) ** 2)
     bob = vec / nrm
     bob.setflags(write=False)

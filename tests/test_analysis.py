@@ -454,25 +454,48 @@ def test_outside_sim_determinism():
 
 
 @pytest.mark.parametrize("decoys, strategy, trials, seed, p_hat, se", [
-    (10, OutsideStrategy.INTERCEPT_RESEND, 100_000, 7, 0.94332, 0.0007312139057758677),
-    (1, OutsideStrategy.MEASURE_RESEND, 200_000, 5, 0.25006, 0.000968323283826223),
-    (3, OutsideStrategy.INTERCEPT_RESEND, 9, 0, 0.6666666666666666, 0.15713484026367724),
+    (10, OutsideStrategy.INTERCEPT_RESEND, 100_000, 7, 0.94396, 0.000727320551063972),
+    (1, OutsideStrategy.MEASURE_RESEND, 200_000, 5, 0.24911, 0.0009670941213242897),
+    (3, OutsideStrategy.INTERCEPT_RESEND, 9, 0, 0.4444444444444444, 0.16563466499998442),
 ])
 def test_outside_sim_stream_is_pinned(decoys, strategy, trials, seed, p_hat, se):
     est = outside_attack_sim(decoys, strategy, trials=trials, seed=seed)
     assert (est.probability, est.std_error, est.n_trials) == (p_hat, se, trials)
 
 
-def test_outside_sim_holds_about_twenty_bytes_per_draw():
-    # the --trials x --decoys cap of the CLI assumes this footprint
-    outside_attack_sim(10, OutsideStrategy.INTERCEPT_RESEND, trials=10, seed=1)
+def _outside_peak(decoys, trials):
     tracemalloc.start()
     try:
-        outside_attack_sim(10, OutsideStrategy.INTERCEPT_RESEND, trials=20_000, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
+        outside_attack_sim(decoys, OutsideStrategy.INTERCEPT_RESEND, trials=trials, seed=1)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * 200_000
+
+
+def test_outside_sim_peak_does_not_grow_with_trials(monkeypatch):
+    monkeypatch.setattr(analysis, "_OUTSIDE_CELLS", 64)
+    _outside_peak(10, 10)
+    # 1 KB covers interpreter noise; holding anything per chunk adds 1,500 times that
+    assert _outside_peak(10, 10_000) <= _outside_peak(10, 1_000) + 1024
+
+
+def test_outside_sim_peak_at_a_million_draws():
+    # the --trials x --decoys cap of the CLI rests on this fixed peak
+    _outside_peak(10, 10)
+    assert _outside_peak(10, 100_000) <= 4 * 2**20
+
+
+@pytest.mark.parametrize("strategy", list(OutsideStrategy))
+@pytest.mark.parametrize("cells, decoys", [
+    (64, 10),  # 6 trials per chunk, and 5_001 is not a multiple of 6
+    (4, 6),  # one trial per chunk, its decoys in slabs of 4 and 2
+])
+def test_outside_sim_chunks_match_enumeration(monkeypatch, strategy, cells, decoys):
+    monkeypatch.setattr(analysis, "_OUTSIDE_CELLS", cells)
+    est = outside_attack_sim(decoys, strategy, trials=5_001, seed=3)
+    want = 1.0 - (1.0 - _enumerated_detection(strategy)) ** decoys
+    assert est.n_trials == 5_001
+    assert abs(est.probability - want) <= 3.0 * est.std_error
 
 
 def test_outside_sim_rejects_zero_decoys():
