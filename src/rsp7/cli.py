@@ -392,7 +392,7 @@ MAX_INSIDE_SAMPLES = 10**7
 #: so the largest accepted runs take 8-45 s there.
 MAX_INSIDE_WORK = 2 * 10**7
 
-#: Largest --trials x --decoys: the chunked outside attack peaks near 2 MB; the cap takes 3-4 s on 2 CPUs.
+#: Largest --trials x --decoys: the chunked outside attack peaks near 2 MB; the cap takes 1-2 s on 2 CPUs.
 MAX_DECOY_DRAWS = 10**8
 
 

@@ -475,7 +475,7 @@ def _outside_peak(decoys, trials):
 def test_outside_sim_peak_does_not_grow_with_trials(monkeypatch):
     monkeypatch.setattr(analysis, "_OUTSIDE_CELLS", 64)
     _outside_peak(10, 10)
-    # 1 KB covers interpreter noise; holding anything per chunk adds 1,500 times that
+    # 1 KB covers interpreter noise; 10^4 trials run 1,500 more chunks than 10^3
     assert _outside_peak(10, 10_000) <= _outside_peak(10, 1_000) + 1024
 
 
