@@ -26,7 +26,6 @@ from . import protocol
 from .linalg import check_density
 from .noise import (
     ALL_QUBITS,
-    TRANSMITTED_QUBITS,
     EvolutionModel,
     NoiseKind,
     NoiseSpec,
@@ -57,29 +56,6 @@ def purity(rho: np.ndarray) -> float:
 # Fidelity sweeps.
 
 
-class SweepModel(enum.Enum):
-    EXACT = "exact"
-    TRUNCATED = "truncated"
-    BOTH = "both"
-
-    @property
-    def wants_exact(self) -> bool:
-        return self in (SweepModel.EXACT, SweepModel.BOTH)
-
-    @property
-    def wants_truncated(self) -> bool:
-        return self in (SweepModel.TRUNCATED, SweepModel.BOTH)
-
-
-class QubitScope(enum.Enum):
-    ALL_SEVEN = "all"
-    TRANSMITTED = "transmitted"
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return ALL_QUBITS if self is QubitScope.ALL_SEVEN else TRANSMITTED_QUBITS
-
-
 #: Stands in for the fidelity of a sweep cell whose forced branch has
 #: (numerically) zero probability.
 ERROR_MARKER = "impossible-branch"
@@ -96,19 +72,28 @@ _SWEEP_SLICE = 64
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """Noise kinds and evolution models on an eta grid, with noise on ``qubits``.
+
+    ``qubits`` is normalized by NoiseSpec's rule, ``models`` kept in
+    EvolutionModel order.  On fewer than seven qubits the truncated model
+    alone is rejected, and next to the exact model it is dropped.
+    """
+
     kinds: tuple[NoiseKind, ...]
     target: TargetState
     eta_start: float = 0.0
     eta_end: float = 1.0
     eta_steps: int = 11
-    model: SweepModel = SweepModel.BOTH
+    models: tuple[EvolutionModel, ...] = tuple(EvolutionModel)
     branch: Optional[OutcomeKey] = None  # None = probability-weighted average
-    qubit_scope: QubitScope = QubitScope.ALL_SEVEN
+    qubits: tuple[int, ...] = ALL_QUBITS
 
     def __post_init__(self):
         kinds = tuple(self.kinds)
         if not kinds or any(not isinstance(k, NoiseKind) for k in kinds):
             raise ValueError("kinds must be a non-empty sequence of NoiseKind")
+        if len(set(kinds)) != len(kinds):
+            raise ValueError("kinds must not repeat")
         object.__setattr__(self, "kinds", kinds)
         if not 0.0 <= self.eta_start <= self.eta_end <= 1.0:
             raise ValueError(
@@ -117,13 +102,20 @@ class SweepConfig:
             )
         if not 2 <= self.eta_steps <= MAX_ETA_STEPS:
             raise ValueError(f"eta_steps must lie in [2, {MAX_ETA_STEPS}], got {self.eta_steps}")
-        if (
-            self.model is SweepModel.TRUNCATED
-            and self.qubit_scope is not QubitScope.ALL_SEVEN
-        ):
-            raise UnsupportedConfigurationError(
-                "the truncated model is only defined for noise on all seven qubits"
-            )
+        models = tuple(self.models)
+        if not models or any(not isinstance(m, EvolutionModel) for m in models):
+            raise ValueError("models must be a non-empty sequence of EvolutionModel")
+        models = tuple(m for m in EvolutionModel if m in models)
+        qubits = NoiseSpec(kinds[0], 0.0, self.qubits).qubits  # NoiseSpec's qubit rule
+        if EvolutionModel.TRUNCATED in models:
+            try:
+                noise_mod.require_all_seven(qubits)
+            except UnsupportedConfigurationError:
+                if len(models) == 1:
+                    raise
+                models = (EvolutionModel.EXACT,)  # the truncated column stays empty
+        object.__setattr__(self, "models", models)
+        object.__setattr__(self, "qubits", qubits)
 
     def etas(self) -> np.ndarray:
         return np.linspace(self.eta_start, self.eta_end, self.eta_steps)
@@ -212,32 +204,23 @@ def fidelity_sweep(config: SweepConfig) -> tuple[SweepRow, ...]:
     ``_SWEEP_SLICE`` grid points, so memory stays bounded on any grid;
     the rows equal those of one call over the whole grid.
     A branch whose probability vanishes at some grid point produces a row
-    carrying an error marker instead of aborting the sweep.  With scope
-    restricted to the transmitted qubits the truncated column is
-    undefined and stays empty.
+    carrying an error marker instead of aborting the sweep.  The exact
+    column is filled first and the truncated one second; a model missing
+    from ``config.models`` leaves its column empty.
     """
     branch_label = "averaged" if config.branch is None else config.branch.label()
-    wants_truncated = (
-        config.model.wants_truncated
-        and config.qubit_scope is QubitScope.ALL_SEVEN
-    )
     etas = config.etas()
     slices = np.array_split(etas, -(-len(etas) // _SWEEP_SLICE))
     rows = []
     for kind in config.kinds:
         columns = []
-        for model, wanted in (
-            (EvolutionModel.EXACT, config.model.wants_exact),
-            (EvolutionModel.TRUNCATED, wants_truncated),
-        ):
-            if not wanted:
+        for model in EvolutionModel:
+            if model not in config.models:
                 columns.append([(None, None)] * len(etas))
                 continue
             cells = []
             for part in slices:
-                blocks = noise_mod.branch_blocks(
-                    config.target, kind, part, config.qubit_scope.qubits, model
-                )
+                blocks = noise_mod.branch_blocks(config.target, kind, part, config.qubits, model)
                 cells += _sweep_cells(blocks, config.target, config.branch)
             columns.append(cells)
         for eta, (f_exact, err_exact), (f_trunc, err_trunc) in zip(etas, *columns):

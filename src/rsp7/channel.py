@@ -204,19 +204,6 @@ def verify_factorization(target) -> float:
     return float(np.linalg.norm(psi - recon))
 
 
-# Grouped form: 8 groups of (3-qubit prefix) (x) (qubit 4) (x) (triplet).
-_GROUPED_GROUPS = (
-    ("000", (("0", "ghz+", 1), ("1", "comp+", 1))),
-    ("001", (("0", "comp-", 1), ("1", "ghz-", -1))),
-    ("010", (("0", "comp+", 1), ("1", "ghz+", -1))),
-    ("011", (("0", "ghz-", 1), ("1", "comp-", 1))),
-    ("100", (("0", "comp-", -1), ("1", "ghz-", -1))),
-    ("101", (("0", "ghz+", -1), ("1", "comp+", 1))),
-    ("110", (("0", "ghz-", 1), ("1", "comp-", -1))),
-    ("111", (("0", "comp+", 1), ("1", "ghz+", 1))),
-)
-
-
 @dataclass(frozen=True)
 class GroupedFormReport:
     """Residuals of the grouped rewriting under both prefactors.
@@ -233,10 +220,14 @@ class GroupedFormReport:
 
 
 def verify_grouped_form() -> GroupedFormReport:
+    """The grouped form is the Borras groups with qubit 7 attached: CX(6,7)
+    takes each Bell pair on qubits 5-6, with qubit 7 in |0>, to the triplet
+    of that name, even -> ghz and odd -> comp."""
     triplets = grouped_triplets()
     bracket = np.zeros(128, dtype=np.complex128)
-    for prefix, terms in _GROUPED_GROUPS:
-        for anc, trip_key, sign in terms:
+    for prefix, terms in _BORRAS_GROUPS:
+        for anc, bell_key, sign in terms:
+            trip_key = bell_key.replace("even", "ghz").replace("odd", "comp")
             bracket = bracket + sign * tensor(ket(prefix), ket(anc), triplets[trip_key])
     psi = build_channel()
     corrected = bracket / 4.0

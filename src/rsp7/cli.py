@@ -19,8 +19,8 @@ from typing import Callable, Collection, Optional, Sequence, TextIO
 import numpy as np
 
 from . import analysis, channel, protocol
-from .analysis import QubitScope, SweepConfig, SweepModel, SweepRow
-from .noise import NoiseKind
+from .analysis import OutsideStrategy, SweepConfig, SweepRow
+from .noise import ALL_QUBITS, TRANSMITTED_QUBITS, EvolutionModel, NoiseKind
 from .protocol import ImpossibleBranchError, OutcomeKey, TargetState
 
 EXIT_OK = 0
@@ -217,14 +217,20 @@ class _Options:
         return default
 
 
-def _choice(opts: _Options, key: str, enum, default: str):
-    """The member of ``enum`` named by option ``key``."""
+#: The values of --model, --scope and --strategy by name, and their argparse choices.
+_MODELS = {"exact": (EvolutionModel.EXACT,), "truncated": (EvolutionModel.TRUNCATED,),
+           "both": tuple(EvolutionModel)}
+_SCOPES = {"all": ALL_QUBITS, "transmitted": TRANSMITTED_QUBITS}
+_STRATEGIES = {s.value: s for s in OutsideStrategy}
+
+
+def _choice(opts: _Options, key: str, table: dict, default: str):
+    """The value ``table`` holds under the name option ``key`` gives."""
     text = opts.get(key, str, default)
     try:
-        return enum(text)
-    except ValueError:
-        valid = ", ".join(m.value for m in enum)
-        raise UsageError(f"unknown {key} {text!r}; valid: {valid}") from None
+        return table[text]
+    except KeyError:
+        raise UsageError(f"unknown {key} {text!r}; valid: {', '.join(table)}") from None
 
 
 _TARGET_NORM_SLACK = 1e-6
@@ -324,8 +330,8 @@ def _cmd_sweep(opts: _Options, stdout: TextIO) -> int:
     kinds = _parse_kinds(opts.get("noise", str, "all"))
     branch_text = opts.get("branch", str, "averaged")
     branch = None if branch_text == "averaged" else _parse_forced_key(branch_text)
-    model = _choice(opts, "model", SweepModel, "both")
-    scope = _choice(opts, "scope", QubitScope, "all")
+    models = _choice(opts, "model", _MODELS, "both")
+    qubits = _choice(opts, "scope", _SCOPES, "all")
     try:
         config = SweepConfig(
             kinds=kinds,
@@ -333,9 +339,9 @@ def _cmd_sweep(opts: _Options, stdout: TextIO) -> int:
             eta_start=opts.get("eta-start", float, 0.0),
             eta_end=opts.get("eta-end", float, 1.0),
             eta_steps=opts.get("steps", int, 11),
-            model=model,
+            models=models,
             branch=branch,
-            qubit_scope=scope,
+            qubits=qubits,
         )
     except ValueError as e:
         raise UsageError(str(e)) from e
@@ -440,7 +446,7 @@ def _cmd_security(opts: _Options, stdout: TextIO) -> int:
         decoys = opts.get("decoys", int, 10)
         trials = opts.get("trials", int, 10000)
         seed = opts.get("seed", int, 0)
-        strategy = _choice(opts, "strategy", analysis.OutsideStrategy, "intercept_resend")
+        strategy = _choice(opts, "strategy", _STRATEGIES, "intercept_resend")
         if decoys < 1:
             raise UsageError("--decoys must be at least 1")
         if trials < 1:
@@ -501,9 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--eta-start", type=float)
     p_sweep.add_argument("--eta-end", type=float)
     p_sweep.add_argument("--steps", type=int, help="number of eta grid points")
-    p_sweep.add_argument("--model", choices=[m.value for m in SweepModel])
+    p_sweep.add_argument("--model", choices=list(_MODELS))
     p_sweep.add_argument("--branch", help="'averaged' or an outcome key U1,cc,dd")
-    p_sweep.add_argument("--scope", choices=[s.value for s in QubitScope],
+    p_sweep.add_argument("--scope", choices=list(_SCOPES),
                          help="qubits hit by noise: all | transmitted")
     p_sweep.add_argument("--out", help="output CSV path")
     p_sweep.add_argument("--svg", action="store_const", const=True,
@@ -521,8 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inside: use the identity attack")
     p_sec.add_argument("--decoys", type=int, help="outside: decoy qubits per trial")
     p_sec.add_argument("--trials", type=int, help="outside: Monte-Carlo trials")
-    p_sec.add_argument("--strategy",
-                       choices=[s.value for s in analysis.OutsideStrategy])
+    p_sec.add_argument("--strategy", choices=list(_STRATEGIES))
     p_sec.add_argument("--seed", type=int)
     return parser
 

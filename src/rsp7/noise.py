@@ -9,7 +9,8 @@ trace preserving, so consumers renormalize by its trace.  The truncated
 amplitude-damping eta^7 term lands on |0...0><0...0| with weight
 eta^7/32; the widely printed eta^7 |1...1><1...1| form does not follow
 from the uniform-index construction, and ``damping_terminal_term`` keeps
-the numerical evidence for that mismatch.
+the numerical evidence for that mismatch.  TRUNCATED is defined only for
+noise on all seven qubits, a rule ``require_all_seven`` owns.
 
 Fidelities are computed by ``branch_blocks`` without building the
 128x128 density matrix: the exact model sends the measured qubits'
@@ -96,9 +97,13 @@ class NoiseSpec:
             raise ValueError(f"qubits must be a non-empty subset of 1..7, got {self.qubits!r}")
         object.__setattr__(self, "qubits", qs)
 
-    @property
-    def all_seven(self) -> bool:
-        return self.qubits == ALL_QUBITS
+
+def require_all_seven(qubits: tuple[int, ...]) -> None:
+    """The truncated model's rule: noise on all seven of the normalized ``qubits``."""
+    if qubits != ALL_QUBITS:
+        raise UnsupportedConfigurationError(
+            "the truncated model is only defined for noise on all seven qubits"
+        )
 
 
 #: |0><0| and |1><1|: helper-bit projectors, shared by the damping Kraus sets.
@@ -176,10 +181,7 @@ def truncated_channel_state(spec: NoiseSpec) -> tuple[np.ndarray, float]:
     mixed-index cross terms make the result sub-normalized.  Defined only
     for noise on all seven qubits.
     """
-    if not spec.all_seven:
-        raise UnsupportedConfigurationError(
-            "the uniform-index truncation is defined for noise on all seven qubits"
-        )
+    require_all_seven(spec.qubits)
     psi = channel.build_channel()
     ops = kraus_operators(spec.kind, spec.eta)
     acc = np.zeros((128, 128), dtype=np.complex128)
@@ -296,10 +298,7 @@ def branch_blocks(
                     * s3[:, None, :, None, :, None, :, None, :]).reshape(-1, 16, 16)
             blocks = blocks @ pair.swapaxes(-1, -2)
     elif model is EvolutionModel.TRUNCATED:
-        if not spec.all_seven:
-            raise UnsupportedConfigurationError(
-                "the truncated model requires noise on all seven qubits"
-            )
+        require_all_seven(spec.qubits)
         pair = _kron(ops, ops)
         sender_pair = _kron(senders.conj() @ ops, pair)
         by_pattern = w.transpose(1, 0, 2).reshape(16, 8)

@@ -9,9 +9,7 @@ from rsp7 import analysis, noise
 from rsp7.analysis import (
     AttackParams,
     OutsideStrategy,
-    QubitScope,
     SweepConfig,
-    SweepModel,
     analytic_detection_probability,
     averaged_fidelity,
     branch_fidelity,
@@ -24,7 +22,7 @@ from rsp7.analysis import (
     sample_inside_attacks,
 )
 from rsp7.linalg import ket, pure_density
-from rsp7.noise import EvolutionModel, NoiseKind, NoiseSpec
+from rsp7.noise import TRANSMITTED_QUBITS, EvolutionModel, NoiseKind, NoiseSpec
 from rsp7.protocol import ALL_OUTCOME_KEYS, OutcomeKey, TargetState
 
 from conftest import random_density
@@ -128,7 +126,7 @@ def test_sweep_error_marker_on_impossible_branch():
 
 def test_sweep_transmitted_scope_skips_truncated_column():
     cfg = SweepConfig(kinds=(NoiseKind.BIT_FLIP,), target=BELL, eta_steps=2,
-                      qubit_scope=QubitScope.TRANSMITTED)
+                      qubits=TRANSMITTED_QUBITS)
     rows = fidelity_sweep(cfg)
     for row in rows:
         assert row.fidelity_exact is not None
@@ -178,6 +176,38 @@ def test_sweep_builds_one_kraus_stack_per_engine_call(monkeypatch):
     assert len(calls) == 2 * len(NoiseKind)  # one per (kind, model)
 
 
+@pytest.mark.parametrize("qubits, normalized", [((1, 4), (1, 4)), ((3, 2, 2), (2, 3))])
+def test_sweep_on_any_qubit_subset_equals_one_point_calls(qubits, normalized):
+    # subsets no CLI scope names; both models asked for, so the truncated column stays empty
+    target = TargetState(0.6, 0.8)
+    config = SweepConfig(kinds=tuple(NoiseKind), target=target, eta_steps=5, qubits=qubits)
+    assert (config.qubits, config.models) == (normalized, (EvolutionModel.EXACT,))
+    for row in fidelity_sweep(config):
+        assert row.fidelity_truncated is None
+        assert row.fidelity_exact == averaged_fidelity(target, NoiseSpec(row.kind, row.eta, qubits))
+
+
+def test_sweep_fills_exact_then_truncated_whatever_the_model_order():
+    config = SweepConfig(kinds=(NoiseKind.AMPLITUDE_DAMPING,), target=BELL,
+                         models=(EvolutionModel.TRUNCATED, EvolutionModel.EXACT))
+    assert config.models == tuple(EvolutionModel)
+    assert fidelity_sweep(config) == fidelity_sweep(SweepConfig(kinds=config.kinds, target=BELL))
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"qubits": ()}, "qubits must be a non-empty subset of 1..7, got ()"),
+    ({"qubits": (0,)}, "qubits must be a non-empty subset of 1..7, got (0,)"),
+    ({"qubits": (8,)}, "qubits must be a non-empty subset of 1..7, got (8,)"),
+    ({"models": ()}, "models must be a non-empty sequence of EvolutionModel"),
+    ({"models": ("exact",)}, "models must be a non-empty sequence of EvolutionModel"),
+    ({"kinds": (NoiseKind.BIT_FLIP, NoiseKind.BIT_FLIP)}, "kinds must not repeat"),
+])
+def test_sweep_config_rejects_bad_settings(settings, message):
+    with pytest.raises(ValueError) as info:
+        SweepConfig(**{"kinds": (NoiseKind.BIT_FLIP,), "target": BELL, **settings})
+    assert str(info.value) == message
+
+
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(kinds=(NoiseKind.BIT_FLIP,), target=BELL, eta_steps=1)
@@ -186,8 +216,8 @@ def test_sweep_config_validation():
                     eta_start=0.8, eta_end=0.2)
     with pytest.raises(ValueError):
         SweepConfig(kinds=(NoiseKind.BIT_FLIP,), target=BELL,
-                    model=SweepModel.TRUNCATED,
-                    qubit_scope=QubitScope.TRANSMITTED)
+                    models=(EvolutionModel.TRUNCATED,),
+                    qubits=TRANSMITTED_QUBITS)
 
 
 def test_averaged_fidelity_is_weighted_branch_average():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rsp7 import channel
+from rsp7.linalg import CX, apply_to_qubits, ket, tensor
 from rsp7.protocol import ALL_OUTCOME_KEYS, TargetState
 
 from conftest import random_targets
@@ -132,6 +133,16 @@ def test_correlated_pairs_cover_exactly_the_channel_support():
         assert_allclose(p, 1.0 / 8.0, atol=1e-12, err_msg=f"({c},{d})")
         mass += p
     assert_allclose(mass, 1.0, atol=1e-12)
+
+
+def test_each_triplet_is_cx_of_its_bell_pair_and_a_zero():
+    # the grouped form reads the Borras groups with each Bell name renamed
+    names = {"even+": "ghz+", "even-": "ghz-", "odd+": "comp+", "odd-": "comp-"}
+    triplets = channel.grouped_triplets()
+    assert set(triplets) == set(names.values())
+    for bell, vec in channel.bell_pairs().items():
+        got = apply_to_qubits(CX, [2, 3], tensor(vec, ket("0")))
+        assert_allclose(got, triplets[names[bell]], atol=1e-15, err_msg=bell)
 
 
 def test_grouped_form_report_values():

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import math
@@ -153,6 +154,9 @@ RELATIVE_PHASE_MESSAGE = ("sender basis is not orthonormal: alpha and beta must 
     pytest.param(["sweep", "--alpha", "0.28", "--beta", "0", "--beta-im", "0.96",
                   "--out", "{tmp}/never.csv"], 2, RELATIVE_PHASE_MESSAGE,
                  id="sweep-relative-phase"),
+    pytest.param(["sweep", "--alpha", "0.6", "--beta", "0.8", "--noise", "bit_flip,bit_flip",
+                  "--steps", "2", "--out", "{tmp}/never.csv"], 2, "kinds must not repeat",
+                 id="sweep-repeated-kind"),
 ])
 def test_bad_input_exits_without_traceback(tmp_path, capsys, monkeypatch, argv, code, message):
     def no_sampling(*args):
@@ -363,6 +367,16 @@ def test_config_file_unknown_choice(tmp_path, capsys, command, line, message):
     cfg.write_text(f"alpha=1\nbeta=0\nmode=outside\n{line}\n")
     code, out, err = run_cli([command, "--config", str(cfg)], capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_parser_choices_are_the_choice_tables():
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    choices = {a.dest: a.choices for name in ("sweep", "security")
+               for a in commands[name]._actions}
+    assert choices["model"] == list(cli._MODELS)
+    assert choices["scope"] == list(cli._SCOPES)
+    assert choices["strategy"] == list(cli._STRATEGIES)
 
 
 def test_config_file_choice_value(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rsp7 import channel, linalg, noise
+from rsp7.analysis import SweepConfig
 from rsp7.linalg import apply_to_qubits, check_density, ket, pure_density
 from rsp7.noise import (
     TRANSMITTED_QUBITS,
@@ -244,14 +245,18 @@ def test_truncated_trace_identity_and_bound():
 
 
 def test_truncated_requires_all_seven_qubits():
-    with pytest.raises(UnsupportedConfigurationError):
-        truncated_channel_state(NoiseSpec(NoiseKind.BIT_FLIP, 0.3,
-                                          qubits=(2, 3, 4, 5, 6, 7)))
-    with pytest.raises(UnsupportedConfigurationError):
-        noisy_rsp_output(BELL, ALL_OUTCOME_KEYS[0],
-                         NoiseSpec(NoiseKind.BIT_FLIP, 0.3,
-                                   qubits=(2, 3, 4, 5, 6, 7)),
-                         EvolutionModel.TRUNCATED)
+    # the density oracle, the engine and the sweep config share one rule and message
+    spec = NoiseSpec(NoiseKind.BIT_FLIP, 0.3, qubits=(2, 3, 4, 5, 6, 7))
+    entry_points = (
+        lambda: truncated_channel_state(spec),
+        lambda: noisy_rsp_output(BELL, ALL_OUTCOME_KEYS[0], spec, EvolutionModel.TRUNCATED),
+        lambda: SweepConfig(kinds=(spec.kind,), target=BELL,
+                            models=(EvolutionModel.TRUNCATED,), qubits=spec.qubits),
+    )
+    for call in entry_points:
+        with pytest.raises(UnsupportedConfigurationError) as info:
+            call()
+        assert str(info.value) == "the truncated model is only defined for noise on all seven qubits"
 
 
 def test_damping_terminal_term_report():

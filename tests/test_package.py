@@ -1,11 +1,11 @@
 """Package hygiene: every top-level definition in ``src/rsp7`` has a user.
 
-A function or class counts as used when it is exported in
-``rsp7.__all__``, referenced somewhere in ``src/`` other than its own
-definition, or named by the benchmark harness in ``bench/*.py`` (which
-wraps library attributes by name).  A definition with none of these
-users is dead code and should be deleted.  The export list itself must
-name every public name ``rsp7/__init__.py`` imports.
+A function, class or module-level constant counts as used when it is
+exported in ``rsp7.__all__``, read somewhere in ``src/`` other than its
+own definition, or named by the benchmark harness in ``bench/*.py``
+(which wraps library attributes by name).  A definition with none of
+these users is dead code and should be deleted.  The export list itself
+must name every public name ``rsp7/__init__.py`` imports.
 """
 
 import ast
@@ -24,17 +24,21 @@ BENCH = ROOT / "bench"
 
 
 def _definitions(tree):
-    return [
-        node.name
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    ]
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if not name.startswith("__")]
 
 
 def _references(tree):
+    """Reads of each name; an assignment's target is not a read."""
     refs = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             refs[node.id] += 1
         elif isinstance(node, ast.Attribute):
             refs[node.attr] += 1
