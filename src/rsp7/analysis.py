@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -100,6 +101,10 @@ class SweepConfig:
                 f"eta grid must satisfy 0 <= start <= end <= 1, got "
                 f"[{self.eta_start}, {self.eta_end}]"
             )
+        try:
+            operator.index(self.eta_steps)
+        except TypeError:
+            raise ValueError(f"eta_steps must be an integer, got {self.eta_steps!r}") from None
         if not 2 <= self.eta_steps <= MAX_ETA_STEPS:
             raise ValueError(f"eta_steps must lie in [2, {MAX_ETA_STEPS}], got {self.eta_steps}")
         models = tuple(self.models)

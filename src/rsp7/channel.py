@@ -106,10 +106,11 @@ def build_channel() -> np.ndarray:
     return apply_to_qubits(CX, [6, 7], tensor(borras_state(), ket("0")))
 
 
-# Factor states over qubit order (B1 B2, C1 C2, D1 D2), eight blocks each.
-# Every block is one four-term combination on the receiver pair attached
-# to a fixed helper outcome |c1 c2>|d1 d2>; the (c, d) patterns below are
-# the only helper outcomes that ever occur.
+# The printed factor states over qubit order (B1 B2, C1 C2, D1 D2): eight
+# blocks each, whose terms only ``factor_states`` reads (audited by
+# ``verify_factorization``).  Each block is one four-term combination on
+# the receiver pair for a helper outcome |c1 c2>|d1 d2>; these (c, d)
+# patterns are the only helper outcomes that ever occur.
 _F1_BLOCKS = (
     ("00", "00", (("a", "00", 1), ("b", "10", 1), ("a", "11", 1), ("b", "01", -1))),
     ("01", "01", (("a", "01", 1), ("b", "11", 1), ("a", "10", 1), ("b", "00", -1))),
@@ -135,15 +136,6 @@ _F2_BLOCKS = (
 CORRELATED_PAIRS = tuple((c, d) for c, d, _ in _F1_BLOCKS)
 
 
-def block_vector(terms, alpha: complex, beta: complex) -> np.ndarray:
-    """Receiver-pair vector (4,) of one block's (amplitude, pair bits, sign) terms / sqrt2."""
-    coef = {"a": alpha, "b": beta}
-    vec = np.zeros(4, dtype=np.complex128)
-    for which, bbits, sign in terms:
-        vec[int(bbits, 2)] += sign * coef[which]
-    return vec / np.sqrt(2.0)
-
-
 def factor_states(target) -> np.ndarray:
     """Six-qubit factor states (f1, f2) over qubit order (B1,B2,C1,C2,D1,D2),
     as the rows of a read-only (2, 64) array.
@@ -153,27 +145,15 @@ def factor_states(target) -> np.ndarray:
     read as (pair, helper pattern), f1 and f2 hold the helpers in
     ``party_layout`` order.
     """
+    coef = {"a": target.alpha, "b": target.beta}
     f = np.zeros((2, 4, 16), dtype=np.complex128)
     for out, blocks in zip(f, (_F1_BLOCKS, _F2_BLOCKS)):
-        for c, d, terms in blocks:
-            out[:, int(c + d, 2)] = block_vector(terms, target.alpha, target.beta)
-    f = f.reshape(2, 64)
+        for c, d, terms in blocks:  # (amplitude, pair bits, sign) terms / sqrt2
+            for which, bbits, sign in terms:
+                out[int(bbits, 2), int(c + d, 2)] += sign * coef[which]
+    f = f.reshape(2, 64) / np.sqrt(2.0)
     f.setflags(write=False)
     return f
-
-
-def factor_block(which: int, charlie: str, david: str, target) -> np.ndarray:
-    """Normalized receiver-pair state of one factor block.
-
-    ``which`` selects the sender branch (1 or 2); (charlie, david) must be
-    one of the eight correlated patterns.
-    """
-    if which not in (1, 2):
-        raise ValueError(f"sender branch must be 1 or 2, got {which!r}")
-    for c, d, terms in _F1_BLOCKS if which == 1 else _F2_BLOCKS:
-        if (c, d) == (charlie, david):
-            return block_vector(terms, target.alpha, target.beta)
-    raise ValueError(f"({charlie}, {david}) is not a correlated helper outcome")
 
 
 def alice_basis(target) -> np.ndarray:

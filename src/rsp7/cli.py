@@ -1,7 +1,8 @@
 """Command-line front end: run, sweep, verify, security.
 
 All numeric output uses 12 fixed decimals so repeated invocations are
-byte-identical and golden-file friendly.  Exit codes: 0 success, 2 usage
+byte-identical and golden-file friendly.  Exit codes: 0 success, 1 failed
+check (a ``verify`` FAIL line, a pure inside-attack state), 2 usage
 problem, 3 impossible forced branch, 4 I/O failure.
 """
 
@@ -313,16 +314,16 @@ def _cmd_run(opts: _Options, stdout: TextIO) -> int:
 
 
 def _parse_kinds(text: str) -> tuple[NoiseKind, ...]:
-    if text == "all":
+    parts = [part.strip() for part in text.split(",")]
+    if parts == ["all"]:
         return tuple(NoiseKind)
-    kinds = []
-    for part in text.split(","):
-        try:
-            kinds.append(NoiseKind(part.strip()))
-        except ValueError:
-            valid = ", ".join(k.value for k in NoiseKind)
-            raise UsageError(f"unknown noise kind {part.strip()!r}; valid: all, {valid}")
-    return tuple(kinds)
+    if "all" in parts:
+        raise UsageError("noise kind 'all' cannot be combined with other kinds")
+    valid = [k.value for k in NoiseKind]
+    for part in parts:
+        if part not in valid:
+            raise UsageError(f"unknown noise kind {part!r}; valid: all, {', '.join(valid)}")
+    return tuple(NoiseKind(part) for part in parts)
 
 
 def _cmd_sweep(opts: _Options, stdout: TextIO) -> int:

@@ -256,9 +256,10 @@ def branch_blocks(
     (sender, helper pattern, pair).  Blocks are kept as row-major vectors
     vec(B), on which B -> E B E^dagger is the 16x16 matrix E (x) E*.
 
-    Exact model: Tr(N(rho) M) = Tr(rho N^dagger(M)) with N^dagger(P) =
-    sum_j E_j^dagger P E_j.  No row of a Kraus operator has two nonzero
-    entries, so a noisy helper's dual projector N^dagger(|o><o|) is
+    Exact model: each qubit takes its superoperator from one table, the
+    identity on a noiseless qubit.  Tr(N(rho) M) = Tr(rho N^dagger(M)) with
+    N^dagger(P) = sum_j E_j^dagger P E_j.  No row of a Kraus operator has
+    two nonzero entries, so a helper's dual projector N^dagger(|o><o|) is
     diag(t[o, :]) with t[o, x] = sum_j |<o|E_j|x>|^2, and the helpers act
     as the bit channel T = t (x) t (x) t (x) t on their pattern.  Block k is
     sum_g T[h_k, g] sum_{s,s'} D_a[s, s'] W[s', g] W[s, g]^dagger, with D_a
@@ -279,24 +280,20 @@ def branch_blocks(
     w = channel.party_layout(channel.build_channel())
     if model is EvolutionModel.EXACT:
         sup = _kron(ops, ops.conj()).sum(axis=1)
-        dual_rows = sup[:, ::3]  # conj vec(N^dagger(|o><o|)), o = 0, 1
-        if np.any(dual_rows[:, :, 1:3] != 0):
+        if np.any(sup[:, ::3, 1:3] != 0):  # conj vec(N^dagger(|o><o|)), o = 0, 1
             raise ValueError("a Kraus operator row has two nonzero entries")
-        bit = dual_rows[:, :, ::3].real
-        t = {q: bit if q in spec.qubits else np.eye(2)[None] for q in (4, 5, 6, 7)}
-        trans = _kron(_kron(t[4], t[6]), _kron(t[5], t[7]))  # helper bits c1 c2 d1 d2
+        chan = {q: sup if q in spec.qubits else np.eye(4)[None] for q in ALL_QUBITS}
+        t = [chan[q][:, ::3, ::3].real for q in channel.MEASURED_QUBITS[1:]]
+        trans = _kron(_kron(t[0], t[1]), _kron(t[2], t[3]))  # on the helper pattern
         proj = (senders[:, :, None] * senders[:, None].conj()).reshape(2, 4)  # vec(|u_a><u_a|)
-        dual = proj @ sup.conj() if 1 in spec.qubits else proj
         outer = np.einsum("tgb,sgc->stgbc", w, w.conj()).reshape(4, 256)
-        z = (dual @ outer).reshape(-1, 2, 16, 16)  # (eta, sender outcome, pattern, vec)
+        z = (proj @ chan[1].conj() @ outer).reshape(-1, 2, 16, 16)  # (eta, sender, pattern, vec)
         blocks = (trans[:, _HELPER.reshape(2, 8)] @ z).reshape(-1, 16, 16)
-        if 2 in spec.qubits or 3 in spec.qubits:
-            s2, s3 = ((sup if q in spec.qubits else np.eye(4)[None]).reshape(-1, 2, 2, 2, 2)
-                      for q in (2, 3))
-            # (r2 c2, r2' c2') and (r3 c3, r3' c3') into (r2 r3 c2 c3, r2' r3' c2' c3')
-            pair = (s2[:, :, None, :, None, :, None, :, None]
-                    * s3[:, None, :, None, :, None, :, None, :]).reshape(-1, 16, 16)
-            blocks = blocks @ pair.swapaxes(-1, -2)
+        s2, s3 = (chan[q].reshape(-1, 2, 2, 2, 2) for q in (2, 3))
+        # (r2 c2, r2' c2') and (r3 c3, r3' c3') into (r2 r3 c2 c3, r2' r3' c2' c3')
+        pair = (s2[:, :, None, :, None, :, None, :, None]
+                * s3[:, None, :, None, :, None, :, None, :]).reshape(-1, 16, 16)
+        blocks = blocks @ pair.swapaxes(-1, -2)
     elif model is EvolutionModel.TRUNCATED:
         require_all_seven(spec.qubits)
         pair = _kron(ops, ops)
@@ -349,9 +346,7 @@ class TerminalTermCheck:
 
     eta: float
     derived_pattern: str
-    derived_coefficient: float
     printed_pattern: str
-    printed_coefficient: float
     residual_derived: float
     residual_printed: float
 
@@ -377,9 +372,7 @@ def damping_terminal_term(eta: float = 0.5) -> TerminalTermCheck:
     return TerminalTermCheck(
         eta=float(eta),
         derived_pattern="0000000",
-        derived_coefficient=eta ** 7 / 32.0,
         printed_pattern="1111111",
-        printed_coefficient=float(eta ** 7),
         residual_derived=float(np.linalg.norm(term - derived)),
         residual_printed=float(np.linalg.norm(term - printed)),
     )

@@ -10,12 +10,13 @@ target's table of branch amplitudes instead of collapsing the register.
 The published gate table for that last step contains defects: two rows
 carry a helper-outcome label that never occurs, and one row's gate list
 does not map its collapsed state to the target.  ``table_report`` audits
-the printed rows by position: row i belongs to ``ALL_OUTCOME_KEYS[i]``,
-whose factor block (``channel._F1_BLOCKS``/``_F2_BLOCKS``) is the state
-column the row prints.  A row whose label names an impossible helper
-pattern is re-keyed to its key, and a gate list that fails on that
-key's blocks is replaced by the shortest working sequence found by
-breadth-first search over the published gate alphabet.
+the printed rows by position against the channel's own collapsed states:
+row i belongs to ``ALL_OUTCOME_KEYS[i]``.  A row whose label names an
+impossible helper pattern is re-keyed to its key, and a gate list that
+fails on that key's states is replaced by the shortest working sequence
+found by breadth-first search over the published gate alphabet.  The
+printed receiver-state columns are audited once, by
+``channel.verify_factorization``.
 """
 
 from __future__ import annotations
@@ -222,16 +223,18 @@ class RecoveryRule:
         return "repaired" if self.printed_pair is None else "rekeyed+repaired"
 
 
-def _block_pair(key: OutcomeKey) -> tuple[np.ndarray, np.ndarray]:
-    """Collapsed receiver states of a branch at parameters (1,0) and (0,1).
+def _basis_blocks() -> np.ndarray:
+    """Collapsed receiver states of all 32 outcomes at parameters (1,0) and (0,1).
 
-    Receiver gates are complex-linear maps, so a sequence prepares the
-    target for every parameter pair exactly when it sends these two basis
-    blocks to |00> and |11> with one common phase.
+    Each is 4 (u_a^dagger (x) I) Psi on ``channel.party_layout``, shape
+    (2, 32, 4), indexed by ``OutcomeKey.outcome_index``.  Receiver gates
+    are complex-linear maps, so a sequence prepares the target for every
+    parameter pair exactly when it sends a key's two basis blocks to |00>
+    and |11> with one common phase.
     """
-    b10 = channel.factor_block(key.alice, key.charlie, key.david, TargetState(1.0, 0.0))
-    b01 = channel.factor_block(key.alice, key.charlie, key.david, TargetState(0.0, 1.0))
-    return b10, b01
+    layout = channel.party_layout(channel.build_channel()).reshape(2, 64)
+    return np.stack([(4.0 * alice_basis(TargetState(*ab)).conj() @ layout).reshape(32, 4)
+                     for ab in ((1.0, 0.0), (0.0, 1.0))])
 
 
 def _pair_defect(w0: np.ndarray, w1: np.ndarray) -> float:
@@ -244,7 +247,7 @@ def _pair_defect(w0: np.ndarray, w1: np.ndarray) -> float:
     return float(max(r0, r1))
 
 
-def _sequence_defect(gates: Sequence[str], blocks: tuple[np.ndarray, np.ndarray]) -> float:
+def _sequence_defect(gates: Sequence[str], blocks: np.ndarray) -> float:
     """Distance of a gate list from being a correct recovery (0 = correct)."""
     g = _compose(gates)
     return _pair_defect(g @ blocks[0], g @ blocks[1])
@@ -259,7 +262,7 @@ def _canon(w0: np.ndarray, w1: np.ndarray) -> tuple:
     return tuple(np.round(both, 9).tolist())
 
 
-def _search_sequence(blocks: tuple[np.ndarray, np.ndarray]) -> tuple[str, ...]:
+def _search_sequence(blocks: np.ndarray) -> tuple[str, ...]:
     """Shortest gate sequence mapping the branch blocks onto the target.
 
     Breadth-first over the gate alphabet with dedup up to global phase;
@@ -291,12 +294,12 @@ def _search_sequence(blocks: tuple[np.ndarray, np.ndarray]) -> tuple[str, ...]:
 def table_report() -> tuple[RecoveryRule, ...]:
     """Audit of all sixteen published rows (verifications, re-keys,
     repairs), one rule per key in ALL_OUTCOME_KEYS order."""
-    rules = []
+    rules, basis = [], _basis_blocks()
     for key, (alice, c, d, printed) in zip(ALL_OUTCOME_KEYS, _PRINTED_ROWS, strict=True):
         printed_pair = None if (c, d) == (key.charlie, key.david) else (c, d)
         if alice != key.alice or printed_pair in channel.CORRELATED_PAIRS:
             raise RuntimeError(f"printed row U{alice},{c},{d} stands where {key.label()} belongs")
-        blocks = _block_pair(key)
+        blocks = basis[:, key.outcome_index]
         defect = _sequence_defect(printed, blocks)
         gates = printed if defect <= GATE_TOL else _search_sequence(blocks)
         rules.append(

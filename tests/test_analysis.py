@@ -201,6 +201,7 @@ def test_sweep_fills_exact_then_truncated_whatever_the_model_order():
     ({"models": ()}, "models must be a non-empty sequence of EvolutionModel"),
     ({"models": ("exact",)}, "models must be a non-empty sequence of EvolutionModel"),
     ({"kinds": (NoiseKind.BIT_FLIP, NoiseKind.BIT_FLIP)}, "kinds must not repeat"),
+    ({"eta_steps": 2.5}, "eta_steps must be an integer, got 2.5"),
 ])
 def test_sweep_config_rejects_bad_settings(settings, message):
     with pytest.raises(ValueError) as info:
@@ -209,6 +210,9 @@ def test_sweep_config_rejects_bad_settings(settings, message):
 
 
 def test_sweep_config_validation():
+    # a numpy integer is an integer step count
+    config = SweepConfig(kinds=(NoiseKind.BIT_FLIP,), target=BELL, eta_steps=np.int64(11))
+    assert len(config.etas()) == 11
     with pytest.raises(ValueError):
         SweepConfig(kinds=(NoiseKind.BIT_FLIP,), target=BELL, eta_steps=1)
     with pytest.raises(ValueError):

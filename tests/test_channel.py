@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -96,30 +95,15 @@ def test_factorization_residual_edge_targets():
 
 
 def test_factor_block_norm_and_count():
-    t = TargetState(0.6, 0.8)
-    seen = 0
-    for c, d in channel.CORRELATED_PAIRS:
-        for which in (1, 2):
-            b = channel.factor_block(which, c, d, t)
-            assert_allclose(np.linalg.norm(b), 1.0, atol=1e-12)
-            seen += 1
-    assert seen == 16
-
-
-def test_factor_block_is_its_column_of_the_factor_states(rng):
-    targets = [TargetState(1.0, 0.0), TargetState(0.0, 1.0), TargetState(0.6j, 0.8j)]
-    for t in targets + random_targets(rng, 5, with_phase=True):
-        f = channel.factor_states(t)
-        for key in ALL_OUTCOME_KEYS:
-            column = f[key.alice - 1].reshape(4, 16)[:, int(key.charlie + key.david, 2)]
-            block = channel.factor_block(key.alice, key.charlie, key.david, t)
-            assert np.array_equal(block, column)
-
-
-@pytest.mark.parametrize("which", [0, 3, "1", None])
-def test_factor_block_rejects_a_bad_sender_branch(which):
-    with pytest.raises(ValueError, match="sender branch must be 1 or 2"):
-        channel.factor_block(which, "00", "00", TargetState(0.6, 0.8))
+    # the sixteen supported factor blocks are the unit-norm columns of the
+    # factor states; every other (sender, helper pattern) column is zero
+    f = channel.factor_states(TargetState(0.6, 0.8)).reshape(2, 4, 16)
+    supported = {divmod(key.outcome_index, 16) for key in ALL_OUTCOME_KEYS}
+    assert len(supported) == 16
+    for a in range(2):
+        for pattern in range(16):
+            want = 1.0 if (a, pattern) in supported else 0.0
+            assert_allclose(np.linalg.norm(f[a, :, pattern]), want, atol=1e-12)
 
 
 def test_correlated_pairs_cover_exactly_the_channel_support():

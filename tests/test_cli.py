@@ -157,6 +157,9 @@ RELATIVE_PHASE_MESSAGE = ("sender basis is not orthonormal: alpha and beta must 
     pytest.param(["sweep", "--alpha", "0.6", "--beta", "0.8", "--noise", "bit_flip,bit_flip",
                   "--steps", "2", "--out", "{tmp}/never.csv"], 2, "kinds must not repeat",
                  id="sweep-repeated-kind"),
+    pytest.param(["sweep", "--alpha", "0.6", "--beta", "0.8", "--noise", "bit_flip,all",
+                  "--steps", "2", "--out", "{tmp}/never.csv"], 2,
+                 "noise kind 'all' cannot be combined with other kinds", id="sweep-all-among-kinds"),
 ])
 def test_bad_input_exits_without_traceback(tmp_path, capsys, monkeypatch, argv, code, message):
     def no_sampling(*args):
@@ -275,6 +278,15 @@ def test_sweep_unknown_noise_kind(capsys):
                             "--noise", "thermal"], capsys)
     assert code == 2
     assert "unknown noise kind" in err
+
+
+def test_sweep_noise_all_may_carry_spaces(tmp_path, capsys):
+    for name, noise in (("plain", "all"), ("spaced", " all")):
+        argv = ["sweep", "--alpha", "0.6", "--beta", "0.8", "--noise", noise, "--steps", "3",
+                "--out", str(tmp_path / f"{name}.csv")]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out.startswith("wrote 18 rows"), err) == (0, True, "")
+    assert (tmp_path / "spaced.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 def test_sweep_output_dir_env(tmp_path, capsys, monkeypatch):

@@ -98,6 +98,20 @@ def test_kraus_strings_give_the_exact_branch_fidelity(target, k, kind, eta, qubi
     assert abs(x / y - want) <= 1e-12
 
 
+@pytest.mark.parametrize("qubits", [(1,), (2, 3), (4, 6), (5, 7)])
+def test_blocks_match_density_path_on_party_scopes(qubits):
+    # a noiseless sender, pair or helper takes the identity from the qubit table
+    target = TargetState.random(np.random.default_rng(5))
+    grid = [0.3, 0.85]
+    for kind in NoiseKind:
+        blocks = branch_blocks(target, kind, grid, qubits)
+        for i, eta in enumerate(grid):
+            rho = evolved_state(NoiseSpec(kind, eta, qubits))
+            for k, key in enumerate(ALL_OUTCOME_KEYS):
+                want = branch_reduction(rho, target, key)
+                assert np.max(np.abs(blocks[i, k] - want)) <= 1e-12, (kind, eta, key.label())
+
+
 SETTINGS = [(ALL_QUBITS, EvolutionModel.EXACT), (TRANSMITTED_QUBITS, EvolutionModel.EXACT),
             (ALL_QUBITS, EvolutionModel.TRUNCATED)]
 

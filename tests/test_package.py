@@ -3,9 +3,11 @@
 A function, class or module-level constant counts as used when it is
 exported in ``rsp7.__all__``, read somewhere in ``src/`` other than its
 own definition, or named by the benchmark harness in ``bench/*.py``
-(which wraps library attributes by name).  A definition with none of
-these users is dead code and should be deleted.  The export list itself
-must name every public name ``rsp7/__init__.py`` imports.
+(which wraps library attributes by name).  A field of a dataclass counts
+as used when some code in ``src/``, ``tests/`` or ``bench/*.py`` reads it
+as an attribute.  A definition with none of these users is dead code and
+should be deleted.  The export list itself must name every public name
+``rsp7/__init__.py`` imports.
 """
 
 import ast
@@ -21,6 +23,7 @@ import rsp7
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rsp7"
 BENCH = ROOT / "bench"
+TESTS = ROOT / "tests"
 
 
 def _definitions(tree):
@@ -61,6 +64,33 @@ def test_every_top_level_definition_has_a_caller():
         and not re.search(rf"\b{re.escape(name)}\b", bench_text)
     ]
     assert unused == []
+
+
+def _dataclass_fields(tree):
+    """(class, field) for each annotated field of a module-level ``@dataclass``."""
+    for node in tree.body:
+        decorators = [getattr(d, "func", d) for d in getattr(node, "decorator_list", ())]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id
+
+
+def test_every_dataclass_field_is_read():
+    paths = [*SRC.glob("*.py"), *TESTS.glob("*.py"), *BENCH.glob("*.py")]
+    read = {
+        node.attr
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{path.stem}.{cls}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for cls, name in _dataclass_fields(ast.parse(path.read_text()))
+        if name not in read
+    ]
+    assert unread == []
 
 
 def test_exports_resolve_and_do_not_repeat():

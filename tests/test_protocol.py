@@ -165,8 +165,17 @@ def test_table_report_structure():
     assert [r.printed_gates for r in rules] == [row[-1] for row in protocol._PRINTED_ROWS]
     fixed = repaired[0]
     assert fixed.gate_defect == protocol._sequence_defect(
-        fixed.gates, protocol._block_pair(fixed.key)
+        fixed.gates, protocol._basis_blocks()[:, fixed.key.outcome_index]
     )
+
+
+def test_basis_blocks_are_the_printed_factor_columns():
+    # the audit reads the channel; the printed columns must say the same
+    basis = protocol._basis_blocks()
+    assert basis.shape == (2, 32, 4)
+    for blocks, target in zip(basis, (TargetState(1.0, 0.0), TargetState(0.0, 1.0))):
+        printed = channel.factor_states(target).reshape(2, 4, 16).transpose(0, 2, 1)
+        assert np.max(np.abs(blocks - printed.reshape(32, 4))) <= 1e-12
 
 
 def test_rule_matrix_is_its_gates_first_gate_first():
@@ -181,13 +190,13 @@ def test_rule_matrix_is_its_gates_first_gate_first():
 def test_every_rule_maps_blocks_to_target_form():
     # G b10 = phi |00>, G b01 = phi |11> with one common phase per rule:
     # that is exactly the property making the rule valid for all targets
+    # b10 and b01 are the printed factor columns, independent of the audit's source
+    f10 = channel.factor_states(TargetState(1.0, 0.0)).reshape(2, 4, 16)
+    f01 = channel.factor_states(TargetState(0.0, 1.0)).reshape(2, 4, 16)
     for rule in table_report():
-        key, g = rule.key, rule.matrix
-        b10 = channel.factor_block(key.alice, key.charlie, key.david,
-                                   TargetState(1.0, 0.0))
-        b01 = channel.factor_block(key.alice, key.charlie, key.david,
-                                   TargetState(0.0, 1.0))
-        w0, w1 = g @ b10, g @ b01
+        a, pattern = divmod(rule.key.outcome_index, 16)
+        g = rule.matrix
+        w0, w1 = g @ f10[a, :, pattern], g @ f01[a, :, pattern]
         # w0 supported on |00>, w1 on |11>, same phase
         assert abs(abs(w0[0]) - 1.0) <= 1e-12
         assert abs(abs(w1[3]) - 1.0) <= 1e-12
