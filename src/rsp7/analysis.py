@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -101,10 +100,7 @@ class SweepConfig:
                 f"eta grid must satisfy 0 <= start <= end <= 1, got "
                 f"[{self.eta_start}, {self.eta_end}]"
             )
-        try:
-            operator.index(self.eta_steps)
-        except TypeError:
-            raise ValueError(f"eta_steps must be an integer, got {self.eta_steps!r}") from None
+        protocol.as_integer("eta_steps", self.eta_steps)
         if not 2 <= self.eta_steps <= MAX_ETA_STEPS:
             raise ValueError(f"eta_steps must lie in [2, {MAX_ETA_STEPS}], got {self.eta_steps}")
         models = tuple(self.models)
@@ -452,10 +448,10 @@ def outside_attack_sim(
     wrong. Chunk i, about ``_OUTSIDE_CELLS`` draws as (decoys, trials) or slabs
     of one trial's decoys, draws from child i of ``SeedSequence(seed)``.
     """
-    n_decoys = int(n_decoys)
+    n_decoys = protocol.as_integer("n_decoys", n_decoys)
     if n_decoys < 1:
         raise ValueError("n_decoys must be at least 1")
-    trials = int(trials)
+    trials = protocol.as_integer("trials", trials)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not isinstance(strategy, OutsideStrategy):
@@ -563,7 +559,7 @@ def discrepancy_report() -> tuple[DiscrepancyEntry, ...]:
             subject="amplitude-damping truncation terminal term",
             printed=(
                 f"eta^7 on |{ad.printed_pattern}> "
-                f"(residual {ad.residual_printed:.6f} at eta=0.5)"
+                f"(residual {ad.residual_printed:.6f} at eta={ad.eta})"
             ),
             computed=(
                 f"uniform-index construction gives eta^7/32 on |{ad.derived_pattern}> "

@@ -20,7 +20,7 @@ the party layout.  ``evolved_state``, ``apply_noise``,
 ``truncated_channel_state`` and ``branch_reduction`` are the direct
 density-matrix construction the engine is checked against.  The
 Monte-Carlo cross-check ``trajectory_estimate`` reads its trajectories
-from tables of Kraus-string amplitudes and Born weights.
+from Kraus-string amplitudes in the party layout and diagonal Born weights.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .protocol import (
     ImpossibleBranchError,
     OutcomeKey,
     TargetState,
+    as_integer,
     gate_matrix,
     recovery_sequence,
     table_report,
@@ -397,33 +398,36 @@ def _string_tables(
     """Branch amplitudes and prefix Born weights of every Kraus string.
 
     A string s holds one Kraus index per noisy qubit, lowest qubit most
-    significant.  ``amp[s]``, the receiver-pair amplitude of branch ``key``
-    in E_s|Psi> before the recovery gates, contracts |Psi> in register
-    order with <u|E_k or <bit|E_k on the measured qubits and E_k on the
-    pair.  ``weights[j][s']`` = |E_s' Psi|^2 for the prefixes s' over the
-    first j + 1 noisy qubits contracts |Psi><Psi| with E_k^dagger E_k.
+    significant; a noiseless qubit counts as one identity string.  ``amp[s]``
+    is the receiver-pair amplitude of branch ``key`` in E_s|Psi> before the
+    recovery gates: the sender row <u_a|E_k1 on W = party_layout(Psi), the
+    Kronecker table of the helper rows <bit|E_k, the pair's E_k2 (x) E_k3,
+    then one transpose into string order.  Each E_k^dagger E_k is diagonal,
+    d_k, so ``weights[j][s']`` = |E_s' Psi|^2 for the prefixes s' over the
+    first j + 1 noisy qubits pushes |Psi_x|^2 through d_k qubit by qubit.
     """
     ops = kraus_operators(spec.kind, spec.eta)
-    senders = alice_basis(target).conj()
-    # <u_a| on the sender and <bit| on each helper, as (1, 2) rows
-    bras = {q: (senders if q == 1 else np.eye(2))[[int(bit)]]
-            for q, bit in zip(channel.MEASURED_QUBITS, format(key.outcome_index, "05b"))}
+    gram = ops.conj().swapaxes(-1, -2) @ ops
+    if np.any(gram[:, [0, 1], [1, 0]] != 0):
+        raise ValueError("a Kraus operator's E^dagger E has an off-diagonal entry")
+    kraus = {q: ops if q in spec.qubits else np.eye(2)[None] for q in ALL_QUBITS}
+    sender, pattern = divmod(key.outcome_index, 16)
+    h = [kraus[q][:, int(bit)] for q, bit in zip(channel.MEASURED_QUBITS[1:], f"{pattern:04b}")]
     psi = channel.build_channel()
-    amp = psi.reshape(1, 1, 128)  # (string, pair qubits so far, unprocessed qubits)
-    rho = np.outer(psi, psi.conj()).reshape(1, 128, 128)  # (string, rows, columns)
+    amp = alice_basis(target)[sender].conj() @ kraus[1] @ channel.party_layout(psi).reshape(2, 64)
+    amp = np.kron(np.kron(*h[:2]), np.kron(*h[2:])) @ amp.reshape(-1, 16, 4)  # (k1, helpers, pair)
+    pair = _kron(kraus[2][:, None], kraus[3][None]).reshape(-1, 4)  # (k2 k3 row, column)
+    layout = channel.MEASURED_QUBITS + (2, 3)
+    amp = (amp @ pair.T).reshape([len(kraus[q]) for q in layout] + [4])
+    amp = amp.transpose(*np.argsort(layout), len(layout)).reshape(-1, 4)
+    born = (psi * psi.conj()).real.reshape(1, 128)  # (string, unprocessed qubits)
     weights = []
     for q in ALL_QUBITS:
-        kraus = ops if q in spec.qubits else np.eye(2)[None]
-        mats = bras[q] @ kraus if q in bras else kraus
-        n_str, n_pair, rest = amp.shape
-        t = amp.reshape(n_str, n_pair, 2, rest // 2)
-        amp = np.einsum("kyx,spxr->skpyr", mats, t).reshape(-1, n_pair * len(mats[0]), rest // 2)
-        dim = rho.shape[1] // 2
-        rho = np.einsum("kzy,syazb->skab", kraus.conj().transpose(0, 2, 1) @ kraus,
-                        rho.reshape(n_str, 2, dim, 2, dim)).reshape(-1, dim, dim)
+        d = gram[:, [0, 1], [0, 1]].real if q in spec.qubits else np.ones((1, 2))  # d_k(x)
+        born = (d @ born.reshape(len(born), 2, -1)).reshape(len(born) * len(d), -1)
         if q in spec.qubits:
-            weights.append(np.einsum("saa->s", rho).real)
-    return amp.reshape(-1, 4), weights
+            weights.append(born.sum(axis=1))
+    return amp, weights
 
 
 def trajectory_estimate(
@@ -448,7 +452,7 @@ def trajectory_estimate(
     understate the error tenfold.  Raises ImpossibleBranchError when the
     draws carry no branch weight.
     """
-    n_samples = int(n_samples)
+    n_samples = as_integer("n_samples", n_samples)
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     amp, weights = _string_tables(target, key, spec)
@@ -457,8 +461,9 @@ def trajectory_estimate(
     g = gate.conj().T @ target.ket()  # <xi| G w = vdot(g, w)
     # per string s: p_s x_s, the recovered overlap, and p_s y_s, the branch weight
     px = np.abs(amp @ g.conj()) ** 2
-    py = np.einsum("si,si->s", amp, amp.conj()).real
+    py = np.einsum("sj,sj->s", amp.view(np.float64), amp.view(np.float64))  # over (re, im)
 
+    cums = [np.cumsum(w.reshape(-1, n_ops), axis=1) for w in weights]
     n_chunks = (n_samples + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     sx = sy = 0.0
@@ -466,11 +471,10 @@ def trajectory_estimate(
         m = min(_CHUNK, n_samples - i * _CHUNK)
         rng = np.random.default_rng(children[i])
         s = np.zeros(m, dtype=np.intp)
-        for w in weights:
-            c = np.cumsum(w.reshape(-1, n_ops)[s], axis=1)  # next index given the prefix
+        for cum in cums:
+            c = np.take(cum, s, axis=0)  # the next index's cumulative weights given the prefix
             r = rng.random(m) * c[:, -1]
-            choice = np.minimum((r[:, None] >= c).sum(axis=1), n_ops - 1)
-            s = s * n_ops + choice
+            s = s * n_ops + np.minimum(sum(r >= col for col in c.T), n_ops - 1)
         sx += float((px[s] / p_s[s]).sum())
         sy += float((py[s] / p_s[s]).sum())
 

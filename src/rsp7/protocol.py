@@ -22,6 +22,7 @@ printed receiver-state columns are audited once, by
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -62,6 +63,14 @@ class ImpossibleBranchError(RuntimeError):
 
 class UnknownOutcomeError(LookupError):
     """An outcome key outside the sixteen supported protocol branches."""
+
+
+def as_integer(name: str, value) -> int:
+    """``value`` through ``operator.index``: a count given as 2.5 or "3" raises ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

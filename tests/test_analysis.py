@@ -538,6 +538,20 @@ def test_outside_sim_rejects_zero_decoys():
                            trials=100, seed=0)
 
 
+@pytest.mark.parametrize("decoys, trials, message", [
+    (1.9, 100, "n_decoys must be an integer, got 1.9"),
+    (2, 100.5, "trials must be an integer, got 100.5"),
+])
+def test_outside_sim_rejects_fractional_counts(decoys, trials, message):
+    # int() would truncate these to 1 decoy and 100 trials
+    with pytest.raises(ValueError) as info:
+        outside_attack_sim(decoys, OutsideStrategy.INTERCEPT_RESEND, trials=trials, seed=0)
+    assert str(info.value) == message
+    est = outside_attack_sim(np.int64(2), OutsideStrategy.INTERCEPT_RESEND,
+                             trials=np.int32(100), seed=0)
+    assert est.n_trials == 100 and type(est.n_trials) is int
+
+
 # --------------------------------------------------------------------------
 # Discrepancy report.
 

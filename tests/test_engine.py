@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsp7.analysis import averaged_fidelity, branch_fidelity
+from rsp7.channel import alice_basis, build_channel, party_layout
+from rsp7.linalg import apply_to_qubits
 from rsp7.noise import (
     ALL_QUBITS,
     TRANSMITTED_QUBITS,
@@ -19,6 +21,7 @@ from rsp7.noise import (
     branch_blocks,
     branch_reduction,
     evolved_state,
+    kraus_operators,
 )
 from rsp7.protocol import ALL_OUTCOME_KEYS, ImpossibleBranchError, TargetState, table_report
 
@@ -96,6 +99,31 @@ def test_kraus_strings_give_the_exact_branch_fidelity(target, k, kind, eta, qubi
     x = np.sum(np.abs(recovered) ** 2)
     y = np.sum(np.abs(amp) ** 2)
     assert abs(x / y - want) <= 1e-12
+
+
+@pytest.mark.parametrize("qubits", [ALL_QUBITS, (1,), (2, 3), (4, 6), (5, 7)])
+def test_string_tables_match_direct_strings(qubits):
+    # row s belongs to string s: E_s applied qubit by qubit to |Psi>, its
+    # Kraus indices read from s with the lowest noisy qubit most significant
+    rng = np.random.default_rng(sum(qubits))
+    psi = build_channel()
+    for kind in NoiseKind:
+        target = TargetState.random(rng)
+        key = ALL_OUTCOME_KEYS[rng.integers(16)]
+        eta = rng.uniform(0.05, 0.95)
+        amp, weights = _string_tables(target, key, NoiseSpec(kind, eta, qubits))
+        ops = kraus_operators(kind, eta)
+        assert amp.shape == (len(ops) ** len(qubits), 4)
+        # a branch never weighs more than its string
+        assert np.all(np.sum(np.abs(amp) ** 2, axis=1) <= weights[-1] + 1e-15)
+        sender = alice_basis(target)[key.alice - 1].conj()
+        for s in rng.integers(len(amp), size=20):
+            v = psi
+            for q, k in zip(qubits, np.unravel_index(s, (len(ops),) * len(qubits))):
+                v = apply_to_qubits(ops[k], [q], v)
+            branch = sender @ party_layout(v)[:, int(key.charlie + key.david, 2)]
+            assert np.max(np.abs(amp[s] - branch)) <= 1e-12, (kind, s)
+            assert abs(weights[-1][s] - np.vdot(v, v).real) <= 1e-12, (kind, s)
 
 
 @pytest.mark.parametrize("qubits", [(1,), (2, 3), (4, 6), (5, 7)])

@@ -103,6 +103,19 @@ def test_exact_engine_rejects_kraus_rows_with_two_entries(monkeypatch):
         noise.branch_blocks(BELL, NoiseKind.BIT_FLIP, [0.0, 0.5], (4,))
 
 
+def test_string_tables_reject_a_non_diagonal_kraus_gram(monkeypatch):
+    # a tilted phase damping: E^dagger E = eta tilt |0><0| tilt^T is not diagonal,
+    # so a string's Born weight no longer reads from |Psi_x|^2 alone
+    c, s = math.cos(0.3), math.sin(0.3)
+    tilt = np.array([[c, -s], [s, c]])
+    build = noise.kraus_operators
+    monkeypatch.setattr(noise, "kraus_operators",
+                        lambda kind, eta: tilt @ build(kind, eta) @ tilt.T)
+    spec = NoiseSpec(NoiseKind.PHASE_DAMPING, 0.5, (4,))
+    with pytest.raises(ValueError, match="off-diagonal entry"):
+        trajectory_estimate(BELL, ALL_OUTCOME_KEYS[0], spec, n_samples=10)
+
+
 @pytest.mark.parametrize("kind, etas, error, message", [
     pytest.param(NoiseKind.BIT_FLIP, [], ValueError, "etas must hold at least one value",
                  id="empty"),
@@ -261,6 +274,7 @@ def test_truncated_requires_all_seven_qubits():
 
 def test_damping_terminal_term_report():
     rep = noise.damping_terminal_term(0.5)
+    assert rep.eta == 0.5
     assert rep.residual_derived <= 1e-12
     assert rep.residual_printed == pytest.approx(0.0078163137, abs=1e-9)
 
@@ -342,6 +356,15 @@ def test_trajectory_eta_zero():
                               n_samples=64, seed=3)
     assert_allclose(est.fidelity, 1.0, atol=1e-9)
     assert est.std_error <= 1e-9
+
+
+def test_trajectory_rejects_a_fractional_sample_count():
+    spec = NoiseSpec(NoiseKind.BIT_FLIP, 0.2)
+    with pytest.raises(ValueError) as info:
+        trajectory_estimate(BELL, ALL_OUTCOME_KEYS[0], spec, n_samples=100.7)
+    assert str(info.value) == "n_samples must be an integer, got 100.7"
+    est = trajectory_estimate(BELL, ALL_OUTCOME_KEYS[0], spec, n_samples=np.int64(100))
+    assert est.n_samples == 100 and type(est.n_samples) is int
 
 
 def test_trajectory_determinism():

@@ -5,9 +5,10 @@ exported in ``rsp7.__all__``, read somewhere in ``src/`` other than its
 own definition, or named by the benchmark harness in ``bench/*.py``
 (which wraps library attributes by name).  A field of a dataclass counts
 as used when some code in ``src/``, ``tests/`` or ``bench/*.py`` reads it
-as an attribute.  A definition with none of these users is dead code and
-should be deleted.  The export list itself must name every public name
-``rsp7/__init__.py`` imports.
+as an attribute.  That guard matches field names, not owners: a read of
+another class's field of the same name also counts.  A definition with
+none of these users is dead code and should be deleted.  The export list
+itself must name every public name ``rsp7/__init__.py`` imports.
 """
 
 import ast
