@@ -14,6 +14,7 @@ cross-checks the 1 - (3/4)^m curve.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -32,7 +33,7 @@ from .noise import (
     UnsupportedConfigurationError,
 )
 from .channel import alice_basis
-from .protocol import ALL_OUTCOME_KEYS, ImpossibleBranchError, OutcomeKey, TargetState
+from .protocol import ALL_OUTCOME_KEYS, OutcomeKey, TargetState
 
 
 def fidelity(pure: np.ndarray, rho: np.ndarray) -> float:
@@ -61,13 +62,15 @@ def purity(rho: np.ndarray) -> float:
 ERROR_MARKER = "impossible-branch"
 
 #: Largest eta grid.  A sweep's memory grows with its rows only: the engine
-#: holds one slice of blocks, about 47 KB per point for ``--model both``
-#: (tracemalloc peak of a 64-point sweep, 3.0 MB).
+#: holds one slice of blocks, at most about 46 KB per point (tracemalloc
+#: peak of a 66-point truncated call with four Kraus operators, 3.1 MB);
+#: a sweep of six kinds at this limit peaks at 20 MB, mostly its rows.
 MAX_ETA_STEPS = 10_001
 
-#: Most eta points per ``branch_blocks`` call of a sweep, which bounds the
-#: engine's memory; the grid is cut into near-equal slices.
-_SWEEP_SLICE = 64
+#: Most (kind, eta) points per ``stacked_blocks`` call of a sweep, which
+#: bounds the engine's memory; the kinds x etas axis is cut into
+#: near-equal slices, and the default grid of six kinds x 11 etas is one.
+_SWEEP_SLICE = 66
 
 
 @dataclass(frozen=True)
@@ -141,9 +144,13 @@ class SweepRow:
                 raise ValueError(f"{name}={f!r} outside [0, 1] tolerance band")
 
 
-def _averaged(blocks: np.ndarray, target: TargetState) -> np.ndarray:
-    """Probability-weighted fidelity over the sixteen branch blocks of
-    each grid point, sum <xi|B|xi> / sum Tr B.
+def _cells(blocks: np.ndarray, target: TargetState) -> tuple[np.ndarray, np.ndarray]:
+    """Fidelity of each point of a ``stacked_blocks`` stack, and a mask of
+    the points whose forced branch is impossible.
+
+    Sixteen blocks a point give the probability-weighted average
+    sum <xi|B|xi> / sum Tr B; one block gives its forced branch
+    <xi|B|xi> / Tr B, impossible when Tr B is below MIN_BRANCH_PROBABILITY.
 
     Weighting renormalizes over the supported keys: under bit-type noise
     some probability leaks into helper patterns that never occur in the
@@ -156,7 +163,11 @@ def _averaged(blocks: np.ndarray, target: TargetState) -> np.ndarray:
     xi = target.ket()
     num = ((blocks @ xi) @ xi.conj()).real
     den = np.trace(blocks, axis1=-2, axis2=-1).real
-    return sum(np.moveaxis(num, -1, 0)) / sum(np.moveaxis(den, -1, 0))
+    if blocks.shape[1] > 1:
+        average = sum(np.moveaxis(num, -1, 0)) / sum(np.moveaxis(den, -1, 0))
+        return average, np.zeros(len(blocks), dtype=bool)
+    impossible = den[:, 0] < protocol.MIN_BRANCH_PROBABILITY
+    return num[:, 0] / np.where(impossible, 1.0, den[:, 0]), impossible
 
 
 def averaged_fidelity(
@@ -167,7 +178,7 @@ def averaged_fidelity(
     """Branch-probability-weighted fidelity of the noisy protocol; equal,
     bit for bit, to the ``fidelity_sweep`` row of the same eta."""
     blocks = noise_mod.branch_blocks(target, spec.kind, [spec.eta], spec.qubits, model)
-    return float(_averaged(blocks[0], target))
+    return float(_cells(blocks, target)[0][0])
 
 
 def branch_fidelity(
@@ -177,65 +188,59 @@ def branch_fidelity(
     model: EvolutionModel = EvolutionModel.EXACT,
 ) -> float:
     """Fidelity of one forced branch of the noisy protocol; equal, bit for
-    bit, to the ``fidelity_sweep`` row of the same eta."""
-    return fidelity(target.ket(), noise_mod.noisy_rsp_output(target, key, spec, model))
-
-
-def _sweep_cells(
-    blocks: np.ndarray, target: TargetState, branch: Optional[OutcomeKey]
-) -> list[tuple[Optional[float], Optional[str]]]:
-    """(fidelity, error marker) of each grid point's sixteen blocks."""
-    if branch is None:
-        return [(float(f), None) for f in _averaged(blocks, target)]
-    cells = []
-    for block in blocks[:, ALL_OUTCOME_KEYS.index(branch)]:
-        try:
-            state = noise_mod.branch_state(block, branch)
-        except ImpossibleBranchError:
-            cells.append((None, ERROR_MARKER))
-        else:
-            cells.append((fidelity(target.ket(), state), None))
-    return cells
+    bit, to the ``fidelity_sweep`` row of the same eta.  Raises
+    ImpossibleBranchError for a branch ``noisy_rsp_output`` rejects."""
+    ops = [noise_mod.kraus_operators(spec.kind, [spec.eta])]
+    blocks = noise_mod.stacked_blocks(target, ops, spec.qubits, model, key)
+    noise_mod.branch_state(blocks[0, 0], key)  # raises for a vanishing branch
+    return float(_cells(blocks, target)[0][0])
 
 
 def fidelity_sweep(config: SweepConfig) -> tuple[SweepRow, ...]:
     """One SweepRow per (kind, eta), sorted by (kind value, eta).
 
-    Each (kind, model) pair calls the engine once per slice of at most
-    ``_SWEEP_SLICE`` grid points, so memory stays bounded on any grid;
-    the rows equal those of one call over the whole grid.
-    A branch whose probability vanishes at some grid point produces a row
-    carrying an error marker instead of aborting the sweep.  The exact
-    column is filled first and the truncated one second; a model missing
-    from ``config.models`` leaves its column empty.
+    The kinds' grids form one point axis, kinds x etas, cut into
+    near-equal slices of at most ``_SWEEP_SLICE`` points so memory stays
+    bounded on any grid.  Each slice builds one Kraus stack per kind it
+    touches and calls the engine once per model, for the sixteen keys of
+    the averaged fidelity or the forced branch alone; the rows equal those
+    of one call over the whole axis.  A branch whose probability vanishes
+    at some grid point produces a row carrying an error marker instead of
+    aborting the sweep.  A model missing from ``config.models`` leaves its
+    column empty.
     """
     branch_label = "averaged" if config.branch is None else config.branch.label()
     etas = config.etas()
-    slices = np.array_split(etas, -(-len(etas) // _SWEEP_SLICE))
-    rows = []
-    for kind in config.kinds:
-        columns = []
-        for model in EvolutionModel:
-            if model not in config.models:
-                columns.append([(None, None)] * len(etas))
-                continue
-            cells = []
-            for part in slices:
-                blocks = noise_mod.branch_blocks(config.target, kind, part, config.qubits, model)
-                cells += _sweep_cells(blocks, config.target, config.branch)
-            columns.append(cells)
-        for eta, (f_exact, err_exact), (f_trunc, err_trunc) in zip(etas, *columns):
-            rows.append(
-                SweepRow(
-                    kind=kind,
-                    eta=float(eta),
-                    branch=branch_label,
-                    fidelity_exact=f_exact,
-                    fidelity_truncated=f_trunc,
-                    error_exact=err_exact,
-                    error_truncated=err_trunc,
-                )
-            )
+    n_points = len(config.kinds) * len(etas)
+    cells = {model: (np.empty(n_points), np.empty(n_points, dtype=bool)) for model in config.models}
+    for part in np.array_split(np.arange(n_points), -(-n_points // _SWEEP_SLICE)):
+        kind_of, eta_of = np.divmod(part, len(etas))
+        ops = [noise_mod.kraus_operators(config.kinds[i], etas[eta_of[kind_of == i]])
+               for i in range(kind_of[0], kind_of[-1] + 1)]
+        for model, (f, impossible) in cells.items():
+            f[part], impossible[part] = _cells(noise_mod.stacked_blocks(
+                config.target, ops, config.qubits, model, config.branch), config.target)
+
+    def column(model):
+        """(fidelity, error marker) of each point, read lazily so that only the rows pile up."""
+        if model not in cells:
+            return itertools.repeat((None, None))
+        f, impossible = (a.tolist() for a in cells[model])
+        return ((None, ERROR_MARKER) if bad else (value, None) for value, bad in zip(f, impossible))
+
+    rows = [
+        SweepRow(
+            kind=kind,
+            eta=eta,
+            branch=branch_label,
+            fidelity_exact=f_exact,
+            fidelity_truncated=f_trunc,
+            error_exact=err_exact,
+            error_truncated=err_trunc,
+        )
+        for (kind, eta), (f_exact, err_exact), (f_trunc, err_trunc) in zip(
+            itertools.product(config.kinds, etas.tolist()), *map(column, EvolutionModel))
+    ]
     rows.sort(key=lambda r: (r.kind.value, r.eta))
     return tuple(rows)
 
@@ -426,6 +431,7 @@ class DetectionEstimate:
 
 def analytic_detection_probability(n_decoys: int) -> float:
     """Chance that at least one of n decoys flags the interceptor."""
+    n_decoys = protocol.as_integer("n_decoys", n_decoys)
     if n_decoys < 1:
         raise ValueError("n_decoys must be at least 1")
     return 1.0 - (3.0 / 4.0) ** n_decoys
@@ -672,5 +678,5 @@ def continuity_modulus(
 ) -> float:
     """Largest slope of the averaged fidelity between neighbouring points
     of an increasing eta grid, from one engine call over the grid."""
-    f = _averaged(noise_mod.branch_blocks(target, kind, etas, ALL_QUBITS, model), target)
+    f = _cells(noise_mod.branch_blocks(target, kind, etas, ALL_QUBITS, model), target)[0]
     return float(np.max(np.abs(np.diff(f)) / np.diff(etas)))

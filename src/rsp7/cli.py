@@ -65,20 +65,19 @@ class UsageError(Exception):
 def write_sweep_csv(out: TextIO, rows: Sequence[SweepRow], target: TargetState) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow(
-            [
-                row.kind.value,
-                _fmt(row.eta),
-                _fmt(target.alpha.real),
-                _fmt(target.alpha.imag),
-                _fmt(target.beta.real),
-                _fmt(target.beta.imag),
-                row.branch,
-                _cell(row.fidelity_exact, row.error_exact),
-                _cell(row.fidelity_truncated, row.error_truncated),
-            ]
-        )
+    amplitudes = [_fmt(x) for x in (target.alpha.real, target.alpha.imag,
+                                    target.beta.real, target.beta.imag)]
+    writer.writerows(
+        [
+            row.kind.value,
+            _fmt(row.eta),
+            *amplitudes,
+            row.branch,
+            _cell(row.fidelity_exact, row.error_exact),
+            _cell(row.fidelity_truncated, row.error_truncated),
+        ]
+        for row in rows
+    )
 
 
 def _cell(value: Optional[float], error: Optional[str]) -> str:

@@ -12,8 +12,9 @@ from the uniform-index construction, and ``damping_terminal_term`` keeps
 the numerical evidence for that mismatch.  TRUNCATED is defined only for
 noise on all seven qubits, a rule ``require_all_seven`` owns.
 
-Fidelities are computed by ``branch_blocks`` without building the
-128x128 density matrix: the exact model sends the measured qubits'
+Fidelities are computed by ``stacked_blocks``, one call over the points
+of several noise kinds (``branch_blocks`` is its one-kind view), without
+the 128x128 density matrix: the exact model sends the measured qubits'
 projectors through the dual map, where noise on a helper is a classical
 bit channel, and the truncated model reads its uniform-index vectors in
 the party layout.  ``evolved_state``, ``apply_noise``,
@@ -28,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -242,6 +243,88 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (out.shape[-4] * out.shape[-3], -1))
 
 
+def stacked_blocks(
+    target: TargetState,
+    ops: Sequence[np.ndarray],
+    qubits: tuple[int, ...],
+    model: EvolutionModel,
+    key: Optional[OutcomeKey] = None,
+) -> np.ndarray:
+    """Unnormalized receiver-pair blocks at every point of stacked Kraus sets.
+
+    ``ops`` holds one ``kraus_operators`` stack (n_i, n_ops_i, 2, 2) per
+    noise kind, and their points, in order, form the point axis; ``qubits``
+    is normalized as NoiseSpec does.  Shape (points, 16, 4, 4) for all of
+    ALL_OUTCOME_KEYS, or (points, 1, 4, 4) for ``key`` alone.  A point's
+    blocks do not depend on the other points.  They are computed from
+    W = party_layout(Psi), shape (sender, helper pattern, pair), without the
+    128x128 density matrix, as row-major vectors vec(B), on which
+    B -> E B E^dagger is the 16x16 matrix E (x) E*.
+
+    Exact model: only a point's 4x4 superoperator enters, so the kinds'
+    superoperators are concatenated.  Each qubit takes its superoperator
+    from one table, the identity on a noiseless qubit.
+    Tr(N(rho) M) = Tr(rho N^dagger(M)) with N^dagger(P) = sum_j E_j^dagger
+    P E_j.  No row of a Kraus operator has two nonzero entries, so a
+    helper's dual projector N^dagger(|o><o|) is diag(t[o, :]) with
+    t[o, x] = sum_j |<o|E_j|x>|^2, and the helpers act as the bit channel
+    T = t (x) t (x) t (x) t on their pattern.  Block k is
+    sum_g T[h_k, g] sum_{s,s'} D_a[s, s'] W[s', g] W[s, g]^dagger, with D_a
+    the sender's dual projector, then the pair's forward channel.
+
+    Truncated model, one pass per Kraus count: the uniform-index vectors are
+    read in the layout, <u_a|E_j on the sender, E_j^(x4) on the helpers and
+    E_j (x) E_j on the pair; the blocks are divided by
+    sum_j |E_j^(x7) Psi|^2, the weight of all 32 outcomes.  Every block
+    ends with its recovery gates G_k.
+    """
+    # indices into ALL_OUTCOME_KEYS, one row per sender outcome
+    grid = np.arange(16).reshape(2, 8) if key is None else np.array([[ALL_OUTCOME_KEYS.index(key)]])
+    keys = grid.ravel()
+    senders = alice_basis(target)
+    w = channel.party_layout(channel.build_channel())
+    if model is EvolutionModel.EXACT:
+        sup = np.concatenate([_kron(o, o.conj()).sum(axis=1) for o in ops])
+        if np.any(sup[:, ::3, 1:3] != 0):  # conj vec(N^dagger(|o><o|)), o = 0, 1
+            raise ValueError("a Kraus operator row has two nonzero entries")
+        chan = {q: sup if q in qubits else np.eye(4)[None] for q in ALL_QUBITS}
+        t = [chan[q][:, ::3, ::3].real for q in channel.MEASURED_QUBITS[1:]]
+        tc, td = _kron(t[0], t[1]), _kron(t[2], t[3])  # on the bits (c1 c2) and (d1 d2)
+        c, d = np.divmod(_HELPER[grid], 4)
+        rows = (tc[:, c, :, None] * td[:, d, None, :]).reshape(-1, *grid.shape, 16)  # T[h_k, :]
+        proj = (senders[:, :, None] * senders[:, None].conj()).reshape(2, 4)  # vec(|u_a><u_a|)
+        outer = np.einsum("tgb,sgc->stgbc", w, w.conj()).reshape(4, 256)
+        z = proj[_SENDER[grid[:, 0]]] @ chan[1].conj() @ outer  # (point, sender, pattern vec)
+        blocks = (rows @ z.reshape(-1, len(grid), 16, 16)).reshape(-1, len(keys), 16)
+        # pair entry (r2 r3 c2 c3, r2' r3' c2' c3') is s2[r2 c2, r2' c2'] s3[r3 c3, r3' c3']
+        r = np.arange(16)
+        i2, i3 = (r >> 2 & 2) | (r >> 1 & 1), (r >> 1 & 2) | (r & 1)
+        pair = (chan[2].reshape(-1, 16).take((4 * i2[:, None] + i2).ravel(), axis=1)
+                * chan[3].reshape(-1, 16).take((4 * i3[:, None] + i3).ravel(), axis=1))
+        blocks = blocks @ pair.reshape(-1, 16, 16).swapaxes(-1, -2)
+    elif model is EvolutionModel.TRUNCATED:
+        require_all_seven(qubits)
+        by_pattern = w.transpose(1, 0, 2).reshape(16, 8)
+        counts = np.repeat([o.shape[1] for o in ops], [len(o) for o in ops])  # per point
+        blocks = np.empty((len(counts), len(keys), 16), dtype=np.complex128)
+        for n_ops in sorted({o.shape[1] for o in ops}):
+            group = np.concatenate([o for o in ops if o.shape[1] == n_ops])
+            pair = _kron(group, group)
+            sender_pair = _kron(senders.conj() @ group, pair)
+            amp = _kron(pair, pair) @ by_pattern @ sender_pair.swapaxes(-1, -2)
+            weight = np.einsum("ejgx,ejgx->e", amp, amp.conj()).real
+            picked = amp.reshape(len(group), n_ops, 16, 2, 4)[:, :, _HELPER[keys], _SENDER[keys]]
+            blocks[counts == n_ops] = _kron(picked[..., None], picked[..., None].conj()).sum(
+                axis=1).reshape(len(group), -1, 16) / weight[:, None, None]
+    else:
+        raise TypeError(f"unknown evolution model {model!r}")
+    gates = np.array([table_report()[k].matrix for k in keys])
+    out = blocks[:, :, None] @ _kron(gates, gates.conj()).swapaxes(-1, -2)
+    out = out.reshape(-1, len(keys), 4, 4)
+    out.setflags(write=False)
+    return out
+
+
 def branch_blocks(
     target: TargetState,
     kind: NoiseKind,
@@ -251,67 +334,14 @@ def branch_blocks(
 ) -> np.ndarray:
     """Unnormalized receiver-pair blocks of all sixteen branches on an eta grid.
 
-    ``out[i, k]`` equals ``branch_reduction(evolved_state(NoiseSpec(kind,
-    etas[i], qubits), model), target, ALL_OUTCOME_KEYS[k])``, computed
-    without the 128x128 density matrix from W = party_layout(Psi), shape
-    (sender, helper pattern, pair).  Blocks are kept as row-major vectors
-    vec(B), on which B -> E B E^dagger is the 16x16 matrix E (x) E*.
-
-    Exact model: each qubit takes its superoperator from one table, the
-    identity on a noiseless qubit.  Tr(N(rho) M) = Tr(rho N^dagger(M)) with
-    N^dagger(P) = sum_j E_j^dagger P E_j.  No row of a Kraus operator has
-    two nonzero entries, so a helper's dual projector N^dagger(|o><o|) is
-    diag(t[o, :]) with t[o, x] = sum_j |<o|E_j|x>|^2, and the helpers act
-    as the bit channel T = t (x) t (x) t (x) t on their pattern.  Block k is
-    sum_g T[h_k, g] sum_{s,s'} D_a[s, s'] W[s', g] W[s, g]^dagger, with D_a
-    the sender's dual projector, then the pair's forward channel.
-
-    Truncated model: the uniform-index vectors are read in the layout,
-    <u_a|E_j on the sender, E_j^(x4) on the helpers and E_j (x) E_j on the
-    pair; the blocks are divided by sum_j |E_j^(x7) Psi|^2, the weight of
-    all 32 outcomes.  Every block ends with its recovery gates G_k.
-    Shape (len(etas), 16, 4, 4).
+    The one-kind view of ``stacked_blocks``: ``out[i, k]`` equals
+    ``branch_reduction(evolved_state(NoiseSpec(kind, etas[i], qubits),
+    model), target, ALL_OUTCOME_KEYS[k])``.  Shape (len(etas), 16, 4, 4).
     """
     if not len(etas):
         raise ValueError("etas must hold at least one value")
     spec = NoiseSpec(kind, etas[0], qubits)  # checks the kind and the qubits once
-    ops = kraus_operators(kind, etas)
-    n_eta, n_ops = ops.shape[:2]
-    senders = alice_basis(target)
-    w = channel.party_layout(channel.build_channel())
-    if model is EvolutionModel.EXACT:
-        sup = _kron(ops, ops.conj()).sum(axis=1)
-        if np.any(sup[:, ::3, 1:3] != 0):  # conj vec(N^dagger(|o><o|)), o = 0, 1
-            raise ValueError("a Kraus operator row has two nonzero entries")
-        chan = {q: sup if q in spec.qubits else np.eye(4)[None] for q in ALL_QUBITS}
-        t = [chan[q][:, ::3, ::3].real for q in channel.MEASURED_QUBITS[1:]]
-        trans = _kron(_kron(t[0], t[1]), _kron(t[2], t[3]))  # on the helper pattern
-        proj = (senders[:, :, None] * senders[:, None].conj()).reshape(2, 4)  # vec(|u_a><u_a|)
-        outer = np.einsum("tgb,sgc->stgbc", w, w.conj()).reshape(4, 256)
-        z = (proj @ chan[1].conj() @ outer).reshape(-1, 2, 16, 16)  # (eta, sender, pattern, vec)
-        blocks = (trans[:, _HELPER.reshape(2, 8)] @ z).reshape(-1, 16, 16)
-        s2, s3 = (chan[q].reshape(-1, 2, 2, 2, 2) for q in (2, 3))
-        # (r2 c2, r2' c2') and (r3 c3, r3' c3') into (r2 r3 c2 c3, r2' r3' c2' c3')
-        pair = (s2[:, :, None, :, None, :, None, :, None]
-                * s3[:, None, :, None, :, None, :, None, :]).reshape(-1, 16, 16)
-        blocks = blocks @ pair.swapaxes(-1, -2)
-    elif model is EvolutionModel.TRUNCATED:
-        require_all_seven(spec.qubits)
-        pair = _kron(ops, ops)
-        sender_pair = _kron(senders.conj() @ ops, pair)
-        by_pattern = w.transpose(1, 0, 2).reshape(16, 8)
-        amp = _kron(pair, pair) @ by_pattern @ sender_pair.swapaxes(-1, -2)
-        weight = np.einsum("ejgx,ejgx->e", amp, amp.conj()).real
-        picked = amp.reshape(n_eta, n_ops, 16, 2, 4)[:, :, _HELPER, _SENDER]
-        blocks = _kron(picked[..., None], picked[..., None].conj()).sum(axis=1)
-        blocks = blocks.reshape(n_eta, 16, 16) / weight[:, None, None]
-    else:
-        raise TypeError(f"unknown evolution model {model!r}")
-    gates = np.array([rule.matrix for rule in table_report()])
-    out = blocks[:, :, None] @ _kron(gates, gates.conj()).swapaxes(-1, -2)
-    out = out.reshape(n_eta, 16, 4, 4)
-    out.setflags(write=False)
-    return out
+    return stacked_blocks(target, [kraus_operators(kind, etas)], spec.qubits, model)
 
 
 def branch_state(block: np.ndarray, key: OutcomeKey) -> np.ndarray:
@@ -337,8 +367,8 @@ def noisy_rsp_output(
     model: EvolutionModel = EvolutionModel.EXACT,
 ) -> np.ndarray:
     """Receiver-pair density matrix after the full noisy protocol branch."""
-    blocks = branch_blocks(target, spec.kind, [spec.eta], spec.qubits, model)
-    return branch_state(blocks[0, ALL_OUTCOME_KEYS.index(key)], key)
+    ops = [kraus_operators(spec.kind, [spec.eta])]
+    return branch_state(stacked_blocks(target, ops, spec.qubits, model, key)[0, 0], key)
 
 
 @dataclass(frozen=True)
@@ -415,7 +445,7 @@ def _string_tables(
     h = [kraus[q][:, int(bit)] for q, bit in zip(channel.MEASURED_QUBITS[1:], f"{pattern:04b}")]
     psi = channel.build_channel()
     amp = alice_basis(target)[sender].conj() @ kraus[1] @ channel.party_layout(psi).reshape(2, 64)
-    amp = np.kron(np.kron(*h[:2]), np.kron(*h[2:])) @ amp.reshape(-1, 16, 4)  # (k1, helpers, pair)
+    amp = _kron(_kron(*h[:2]), _kron(*h[2:])) @ amp.reshape(-1, 16, 4)  # (k1, helpers, pair)
     pair = _kron(kraus[2][:, None], kraus[3][None]).reshape(-1, 4)  # (k2 k3 row, column)
     layout = channel.MEASURED_QUBITS + (2, 3)
     amp = (amp @ pair.T).reshape([len(kraus[q]) for q in layout] + [4])

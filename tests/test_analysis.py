@@ -136,11 +136,11 @@ def test_sweep_transmitted_scope_skips_truncated_column():
 
 @pytest.mark.parametrize("branch", [None, OutcomeKey(2, "11", "11")])
 def test_sliced_sweep_rows_equal_one_engine_call(monkeypatch, branch):
-    # 10 points in slices of at most 3 points; the forced branch is
-    # impossible under full amplitude damping at eta = 1
+    # 6 kinds x 10 points in slices of at most 3 points, some across two
+    # kinds; the forced branch is impossible under full amplitude damping at eta = 1
     config = SweepConfig(kinds=tuple(NoiseKind), target=TargetState(0.6, 0.8),
                          eta_steps=10, branch=branch)
-    monkeypatch.setattr(analysis, "_SWEEP_SLICE", 10)
+    monkeypatch.setattr(analysis, "_SWEEP_SLICE", 60)
     whole = fidelity_sweep(config)
     monkeypatch.setattr(analysis, "_SWEEP_SLICE", 3)
     assert fidelity_sweep(config) == whole
@@ -173,7 +173,7 @@ def test_sweep_builds_one_kraus_stack_per_engine_call(monkeypatch):
 
     monkeypatch.setattr(noise, "kraus_operators", counted)
     fidelity_sweep(SweepConfig(kinds=tuple(NoiseKind), target=BELL))
-    assert len(calls) == 2 * len(NoiseKind)  # one per (kind, model)
+    assert calls == list(NoiseKind)  # one per kind, shared by both models
 
 
 @pytest.mark.parametrize("qubits, normalized", [((1, 4), (1, 4)), ((3, 2, 2), (2, 3))])
@@ -468,8 +468,11 @@ def test_analytic_curve():
     assert_allclose(analytic_detection_probability(1), 0.25, atol=1e-15)
     assert_allclose(analytic_detection_probability(10), 1 - 0.75**10,
                     atol=1e-15)
+    assert analytic_detection_probability(np.int64(10)) == analytic_detection_probability(10)
     with pytest.raises(ValueError):
         analytic_detection_probability(0)
+    with pytest.raises(ValueError, match=r"^n_decoys must be an integer, got 1\.5$"):
+        analytic_detection_probability(1.5)
 
 
 def test_outside_sim_matches_analytic_for_many_decoys():

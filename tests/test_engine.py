@@ -22,6 +22,7 @@ from rsp7.noise import (
     branch_reduction,
     evolved_state,
     kraus_operators,
+    stacked_blocks,
 )
 from rsp7.protocol import ALL_OUTCOME_KEYS, ImpossibleBranchError, TargetState, table_report
 
@@ -153,6 +154,31 @@ def test_one_point_grid_gives_the_bits_of_a_longer_grid(qubits, model):
         for i, eta in enumerate(grid):
             one = branch_blocks(target, kind, [eta], qubits, model)[0]
             assert one.tobytes() == blocks[i].tobytes(), (kind, eta)
+
+
+@pytest.mark.parametrize("qubits, model", SETTINGS + [((1,), EvolutionModel.EXACT),
+                                                  ((2, 3), EvolutionModel.EXACT)])
+def test_stacked_kinds_give_the_bits_of_one_kind_calls(qubits, model):
+    # the six kinds on one point axis, the last grid cut short as a sweep slice cuts it
+    target = TargetState.random(np.random.default_rng(6))
+    grid = np.append(np.linspace(0.0, 1.0, 11), 0.37)
+    grids = [grid] * (len(NoiseKind) - 1) + [grid[:5]]
+    ops = [kraus_operators(kind, g) for kind, g in zip(NoiseKind, grids)]
+    stacked = stacked_blocks(target, ops, qubits, model)
+    assert stacked.shape == (sum(map(len, grids)), 16, 4, 4)
+    start = 0
+    for kind, g in zip(NoiseKind, grids):
+        one = branch_blocks(target, kind, g, qubits, model)
+        assert stacked[start:start + len(g)].tobytes() == one.tobytes(), kind
+        start += len(g)
+    # one key alone: the bits of the same key over each kind alone, and its
+    # slot of the sixteen up to rounding
+    key = ALL_OUTCOME_KEYS[11]
+    keyed = stacked_blocks(target, ops, qubits, model, key)
+    assert keyed.shape == (len(stacked), 1, 4, 4)
+    alone = np.concatenate([stacked_blocks(target, [o], qubits, model, key) for o in ops])
+    assert keyed.tobytes() == alone.tobytes()
+    assert np.max(np.abs(keyed[:, 0] - stacked[:, 11])) <= 1e-15
 
 
 @pytest.mark.parametrize("model", list(EvolutionModel))
