@@ -24,7 +24,6 @@ import numpy as np
 from . import channel
 from . import noise as noise_mod
 from . import protocol
-from .linalg import check_density
 from .noise import (
     ALL_QUBITS,
     EvolutionModel,
@@ -57,8 +56,8 @@ def purity(rho: np.ndarray) -> float:
 # Fidelity sweeps.
 
 
-#: Stands in for the fidelity of a sweep cell whose forced branch has
-#: (numerically) zero probability.
+#: Stands in for the fidelity of a sweep cell whose forced branch, or whose
+#: sixteen branches together, have (numerically) zero probability.
 ERROR_MARKER = "impossible-branch"
 
 #: Largest eta grid.  A sweep's memory grows with its rows only: the engine
@@ -145,29 +144,35 @@ class SweepRow:
 
 
 def _cells(blocks: np.ndarray, target: TargetState) -> tuple[np.ndarray, np.ndarray]:
-    """Fidelity of each point of a ``stacked_blocks`` stack, and a mask of
-    the points whose forced branch is impossible.
+    """Fidelity and weight of each point of a ``stacked_blocks`` stack.
 
-    Sixteen blocks a point give the probability-weighted average
-    sum <xi|B|xi> / sum Tr B; one block gives its forced branch
-    <xi|B|xi> / Tr B, impossible when Tr B is below MIN_BRANCH_PROBABILITY.
+    Over the keys the stack holds, the fidelity is sum <xi|B|xi> / sum Tr B
+    and the weight sum Tr B: sixteen keys give the probability-weighted
+    average, one key its forced branch.  A cell whose weight is below
+    MIN_BRANCH_PROBABILITY is impossible and its fidelity meaningless.
 
-    Weighting renormalizes over the supported keys: under bit-type noise
-    some probability leaks into helper patterns that never occur in the
-    clean protocol, and those aborted rounds carry no output state.
+    Weighting renormalizes over the keys: under bit-type noise some
+    probability leaks into helper patterns that never occur in the clean
+    protocol, and those aborted rounds carry no output state.
 
     The keys are added one at a time, in key order: numpy's own reductions
     pick their order by the shape of the stack, and a one-point grid would
     then differ in the last bits from the same point inside a longer grid.
     """
     xi = target.ket()
-    num = ((blocks @ xi) @ xi.conj()).real
-    den = np.trace(blocks, axis1=-2, axis2=-1).real
-    if blocks.shape[1] > 1:
-        average = sum(np.moveaxis(num, -1, 0)) / sum(np.moveaxis(den, -1, 0))
-        return average, np.zeros(len(blocks), dtype=bool)
-    impossible = den[:, 0] < protocol.MIN_BRANCH_PROBABILITY
-    return num[:, 0] / np.where(impossible, 1.0, den[:, 0]), impossible
+    num = sum(np.moveaxis(((blocks @ xi) @ xi.conj()).real, -1, 0))
+    weight = sum(np.moveaxis(np.trace(blocks, axis1=-2, axis2=-1).real, -1, 0))
+    return num / np.where(weight < protocol.MIN_BRANCH_PROBABILITY, 1.0, weight), weight
+
+
+def _one_cell(blocks: np.ndarray, target: TargetState, subject: str) -> float:
+    """The fidelity of a one-point stack.  Raises ImpossibleBranchError, read
+    "<subject> probability ...", when its weight is below MIN_BRANCH_PROBABILITY."""
+    f, weight = _cells(blocks, target)
+    if weight[0] < protocol.MIN_BRANCH_PROBABILITY:
+        p = float(weight[0])
+        raise protocol.ImpossibleBranchError(f"{subject} probability {p:.3e} under this noise", p)
+    return float(f[0])
 
 
 def averaged_fidelity(
@@ -176,9 +181,10 @@ def averaged_fidelity(
     model: EvolutionModel = EvolutionModel.EXACT,
 ) -> float:
     """Branch-probability-weighted fidelity of the noisy protocol; equal,
-    bit for bit, to the ``fidelity_sweep`` row of the same eta."""
+    bit for bit, to the ``fidelity_sweep`` row of the same eta.  Raises
+    ImpossibleBranchError when no weight is left on the sixteen branches."""
     blocks = noise_mod.branch_blocks(target, spec.kind, [spec.eta], spec.qubits, model)
-    return float(_cells(blocks, target)[0][0])
+    return _one_cell(blocks, target, "the sixteen branches have total")
 
 
 def branch_fidelity(
@@ -192,8 +198,7 @@ def branch_fidelity(
     ImpossibleBranchError for a branch ``noisy_rsp_output`` rejects."""
     ops = [noise_mod.kraus_operators(spec.kind, [spec.eta])]
     blocks = noise_mod.stacked_blocks(target, ops, spec.qubits, model, key)
-    noise_mod.branch_state(blocks[0, 0], key)  # raises for a vanishing branch
-    return float(_cells(blocks, target)[0][0])
+    return _one_cell(blocks, target, f"branch {key.label()} has")
 
 
 def fidelity_sweep(config: SweepConfig) -> tuple[SweepRow, ...]:
@@ -204,10 +209,10 @@ def fidelity_sweep(config: SweepConfig) -> tuple[SweepRow, ...]:
     bounded on any grid.  Each slice builds one Kraus stack per kind it
     touches and calls the engine once per model, for the sixteen keys of
     the averaged fidelity or the forced branch alone; the rows equal those
-    of one call over the whole axis.  A branch whose probability vanishes
-    at some grid point produces a row carrying an error marker instead of
-    aborting the sweep.  A model missing from ``config.models`` leaves its
-    column empty.
+    of one call over the whole axis.  A cell whose branch, or whose sixteen
+    branches together, have vanishing probability carries an error marker
+    instead of aborting the sweep.  A model missing from ``config.models``
+    leaves its column empty.
     """
     branch_label = "averaged" if config.branch is None else config.branch.label()
     etas = config.etas()
@@ -218,8 +223,9 @@ def fidelity_sweep(config: SweepConfig) -> tuple[SweepRow, ...]:
         ops = [noise_mod.kraus_operators(config.kinds[i], etas[eta_of[kind_of == i]])
                for i in range(kind_of[0], kind_of[-1] + 1)]
         for model, (f, impossible) in cells.items():
-            f[part], impossible[part] = _cells(noise_mod.stacked_blocks(
+            f[part], weight = _cells(noise_mod.stacked_blocks(
                 config.target, ops, config.qubits, model, config.branch), config.target)
+            impossible[part] = weight < protocol.MIN_BRANCH_PROBABILITY
 
     def column(model):
         """(fidelity, error marker) of each point, read lazily so that only the rows pile up."""
@@ -643,12 +649,17 @@ def invariant_checks() -> tuple[InvariantCheck, ...]:
     dev = max(noise_mod.completeness_residual(ops) for kind in NoiseKind
               for ops in noise_mod.kraus_operators(kind, np.linspace(0.0, 1.0, 21)))
     checks.append(_within("Kraus completeness", dev, f"max residual on 21-point grid {dev:.3e}"))
-    rho = check_density(noise_mod.evolved_state(NoiseSpec(NoiseKind.BIT_FLIP, 0.3)))
-    checks.append(InvariantCheck(
-        "exact evolution invariants", rho.within(),
-        f"hermiticity {rho.hermiticity_residual:.3e}, trace {rho.trace_residual:.3e}, "
-        f"min eigenvalue {rho.min_eigenvalue:.3e}",
-    ))
+    # the engine's blocks: dephasing leaks no weight off the sixteen keys
+    ops = [noise_mod.kraus_operators(kind, [0.0, 0.3, 1.0]) for kind in NoiseKind]
+    blocks = noise_mod.stacked_blocks(TargetState.random(rng), ops, ALL_QUBITS, EvolutionModel.EXACT)
+    herm = float(np.max(np.abs(blocks - blocks.conj().swapaxes(-1, -2))))
+    min_eig = float(np.min(np.linalg.eigvalsh(blocks)))
+    weights = np.trace(blocks, axis1=-2, axis2=-1).real.sum(axis=1).reshape(len(ops), -1)
+    dephasing = [kind in (NoiseKind.PHASE_FLIP, NoiseKind.PHASE_DAMPING) for kind in NoiseKind]
+    dev = float(np.max(np.abs(weights[dephasing] - 1.0)))
+    checks.append(_within("exact evolution invariants", max(herm, -min_eig, dev),
+                          f"6 kinds x 3 etas x 16 blocks: hermiticity {herm:.3e}, "
+                          f"min eigenvalue {min_eig:.3e}, dephasing weight residual {dev:.3e}"))
 
     eta = 0.4  # closed-form traces of the two-term truncation
     base = (1.0 - eta) ** 7

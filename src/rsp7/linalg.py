@@ -11,7 +11,6 @@ defensive copies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -155,40 +154,6 @@ def partial_trace(rho: np.ndarray, discard: Iterable[int]) -> np.ndarray:
         t = np.trace(t, axis1=q - 1, axis2=m + q - 1)
         m -= 1
     return _frozen(t.reshape(2 ** m, 2 ** m))
-
-
-#: Bounds of ``DensityReport.within``: the largest hermiticity and trace
-#: residuals and the smallest eigenvalue it accepts.
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-MIN_EIGENVALUE_FLOOR = -1e-9
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    """Numerical health of a density matrix."""
-
-    hermiticity_residual: float
-    trace_residual: float
-    min_eigenvalue: float
-
-    def within(self) -> bool:
-        return (
-            self.hermiticity_residual <= HERMITICITY_TOL
-            and self.trace_residual <= TRACE_TOL
-            and self.min_eigenvalue >= MIN_EIGENVALUE_FLOOR
-        )
-
-
-def check_density(rho: np.ndarray) -> DensityReport:
-    """Hermiticity, unit-trace and positivity residuals of a matrix."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    n_qubits(rho)  # validates square, power-of-two dimension
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    trace = float(np.abs(np.trace(rho) - 1.0))
-    sym = (rho + rho.conj().T) / 2.0
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
-    return DensityReport(herm, trace, min_eig)
 
 
 # Single-qubit constants and the two-qubit controlled-not (control first).

@@ -214,7 +214,8 @@ def branch_reduction(rho: np.ndarray, target: TargetState, key: OutcomeKey) -> n
     """Unnormalized receiver-pair state of one branch; trace = branch weight.
 
     Projects the sender qubit onto its basis state for ``key``, the four
-    helper qubits onto their bits, applies the recovery gates, and traces
+    helper qubits onto their bits, applies the recovery gates, composed
+    here from the key's tokens rather than read from its rule, and traces
     out everything but the receiver pair.  Linear in rho, so weighted
     averages over branches can sum these blocks directly.
     """
@@ -227,9 +228,10 @@ def branch_reduction(rho: np.ndarray, target: TargetState, key: OutcomeKey) -> n
         (7, key.david[1]),
     ):
         rho = apply_to_qubits((_P0, _P1)[int(bit)], [q], rho)
-    for tok in recovery_sequence(key):
-        rho = apply_to_qubits(gate_matrix(tok), [2, 3], rho)
-    return partial_trace(rho, [1, 4, 5, 6, 7])
+    gates = np.eye(4)
+    for tok in recovery_sequence(key):  # the first token acts first
+        gates = gate_matrix(tok) @ gates
+    return partial_trace(apply_to_qubits(gates, [2, 3], rho), [1, 4, 5, 6, 7])
 
 
 #: Sender outcome and helper pattern of each of ALL_OUTCOME_KEYS, whose
@@ -344,12 +346,16 @@ def branch_blocks(
     return stacked_blocks(target, [kraus_operators(kind, etas)], spec.qubits, model)
 
 
-def branch_state(block: np.ndarray, key: OutcomeKey) -> np.ndarray:
-    """Normalized receiver-pair state of one branch block.
-
-    Raises ImpossibleBranchError when the block's weight is below
-    MIN_BRANCH_PROBABILITY.
-    """
+def noisy_rsp_output(
+    target: TargetState,
+    key: OutcomeKey,
+    spec: NoiseSpec,
+    model: EvolutionModel = EvolutionModel.EXACT,
+) -> np.ndarray:
+    """Receiver-pair density matrix after the full noisy protocol branch; raises
+    ImpossibleBranchError for a branch weight below MIN_BRANCH_PROBABILITY."""
+    ops = [kraus_operators(spec.kind, [spec.eta])]
+    block = stacked_blocks(target, ops, spec.qubits, model, key)[0, 0]
     p = float(np.trace(block).real)
     if p < MIN_BRANCH_PROBABILITY:
         raise ImpossibleBranchError(
@@ -358,17 +364,6 @@ def branch_state(block: np.ndarray, key: OutcomeKey) -> np.ndarray:
     out = block / p
     out.setflags(write=False)
     return out
-
-
-def noisy_rsp_output(
-    target: TargetState,
-    key: OutcomeKey,
-    spec: NoiseSpec,
-    model: EvolutionModel = EvolutionModel.EXACT,
-) -> np.ndarray:
-    """Receiver-pair density matrix after the full noisy protocol branch."""
-    ops = [kraus_operators(spec.kind, [spec.eta])]
-    return branch_state(stacked_blocks(target, ops, spec.qubits, model, key)[0, 0], key)
 
 
 @dataclass(frozen=True)
@@ -449,7 +444,7 @@ def _string_tables(
     pair = _kron(kraus[2][:, None], kraus[3][None]).reshape(-1, 4)  # (k2 k3 row, column)
     layout = channel.MEASURED_QUBITS + (2, 3)
     amp = (amp @ pair.T).reshape([len(kraus[q]) for q in layout] + [4])
-    amp = amp.transpose(*np.argsort(layout), len(layout)).reshape(-1, 4)
+    amp = amp.transpose(*sorted(range(7), key=layout.__getitem__), len(layout)).reshape(-1, 4)
     born = (psi * psi.conj()).real.reshape(1, 128)  # (string, unprocessed qubits)
     weights = []
     for q in ALL_QUBITS:

@@ -23,7 +23,7 @@ from rsp7.analysis import (
 )
 from rsp7.linalg import ket, pure_density
 from rsp7.noise import TRANSMITTED_QUBITS, EvolutionModel, NoiseKind, NoiseSpec
-from rsp7.protocol import ALL_OUTCOME_KEYS, OutcomeKey, TargetState
+from rsp7.protocol import ALL_OUTCOME_KEYS, ImpossibleBranchError, OutcomeKey, TargetState
 
 from conftest import random_density
 
@@ -122,6 +122,24 @@ def test_sweep_error_marker_on_impossible_branch():
         assert row.fidelity_truncated is None
         assert row.error_exact == "impossible-branch"
         assert row.error_truncated == "impossible-branch"
+
+
+@pytest.mark.parametrize("qubits", [(6,), (4, 6)])
+def test_sweep_marks_averaged_cells_with_no_weight_left(qubits):
+    # a flip of C2 and not of D2 breaks c2 = d2, so at eta = 1 every round
+    # lands on a helper pattern outside the sixteen keys
+    kinds = (NoiseKind.BIT_FLIP, NoiseKind.BIT_PHASE_FLIP)
+    rows = fidelity_sweep(SweepConfig(kinds=kinds, target=TargetState(0.6, 0.8), qubits=qubits))
+    assert [(r.kind, r.error_exact) for r in rows if r.eta == 1.0] == [
+        (kind, "impossible-branch") for kind in kinds]
+    assert all(r.fidelity_exact is not None for r in rows if r.eta < 1.0)
+
+
+def test_averaged_fidelity_raises_with_no_weight_left():
+    spec = NoiseSpec(NoiseKind.BIT_FLIP, 1.0, (6,))
+    with pytest.raises(ImpossibleBranchError) as info:
+        averaged_fidelity(TargetState(0.6, 0.8), spec)
+    assert info.value.probability < 1e-14
 
 
 def test_sweep_transmitted_scope_skips_truncated_column():

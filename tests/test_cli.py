@@ -1,14 +1,18 @@
 import argparse
 import contextlib
+import importlib.util
 import io
 import math
+import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsp7 import analysis, channel, cli
+from rsp7 import analysis, channel, cli, noise
 from rsp7.analysis import SweepConfig
 from rsp7.cli import main
 from rsp7.noise import NoiseKind
@@ -453,6 +457,50 @@ def test_verify_reports_a_failing_check(capsys, monkeypatch):
     assert code == 1 and err == ""
     assert "FAIL  grouped-form reconstruction: corrected-prefactor residual 1.000e-06\n" in out
     assert out.count("FAIL") == 1
+
+
+def _non_hermitian(blocks):
+    blocks[:, -1, 0, 1] += 1e-6  # above the diagonal, which eigvalsh does not read
+
+
+def _negative(blocks):
+    weight = np.trace(blocks[:, -1], axis1=-2, axis2=-1)
+    blocks[:, -1] = weight[:, None, None] * np.diag([1.5, -0.5, 0.0, 0.0])  # same trace
+
+
+@pytest.mark.parametrize("damage, named", [(_non_hermitian, "hermiticity 1.000e-06"),
+                                           (_negative, "min eigenvalue -")])
+def test_verify_fails_on_a_bad_engine_block(capsys, monkeypatch, damage, named):
+    engine = noise.stacked_blocks
+
+    def damaged(*args):
+        blocks = np.array(engine(*args))
+        if blocks.shape[1] == 16:  # forced-key calls keep their blocks
+            damage(blocks)
+        return blocks
+
+    monkeypatch.setattr(noise, "stacked_blocks", damaged)
+    code, out, err = run_cli(["verify"], capsys)
+    assert code == 1 and err == ""
+    line = next(line for line in out.splitlines() if "exact evolution invariants" in line)
+    assert line.startswith("FAIL") and named in line
+    assert out.count("FAIL") == 1
+
+
+def test_benchmark_workloads_pass_their_own_checks(tmp_path, monkeypatch):
+    # one cycle of each workload in bench/workloads.py and the golden sweeps,
+    # each output judged by the check the benchmark applies to it
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    rng = random.Random(20260)
+    problems = []
+    for name, workload in workloads.WORKLOADS.items():
+        for op in workload.cycle(rng, tmp_path):
+            problems += [f"{name} {op.label}: {p}" for p in op.check(op.call())]
+    assert problems + workloads.check_golden(tmp_path) == []
 
 
 # --------------------------------------------------------------------------

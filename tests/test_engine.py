@@ -195,3 +195,20 @@ def test_one_call_peaks_below_a_megabyte(model):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("model", list(EvolutionModel))
+@pytest.mark.parametrize("key", [None, ALL_OUTCOME_KEYS[9]])
+@pytest.mark.parametrize("kinds, steps", [(tuple(NoiseKind), 11), ((NoiseKind.DEPOLARIZING,), 66)])
+def test_sweep_slice_peaks_below_four_megabytes(model, key, kinds, steps):
+    # the largest call a sweep makes: one slice of 66 points
+    target = TargetState.random(np.random.default_rng(8))
+    ops = [kraus_operators(kind, np.linspace(0.0, 1.0, steps)) for kind in kinds]
+    stacked_blocks(target, ops, ALL_QUBITS, model, key)
+    tracemalloc.start()
+    try:
+        stacked_blocks(target, ops, ALL_QUBITS, model, key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000

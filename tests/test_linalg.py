@@ -6,7 +6,6 @@ from rsp7 import linalg
 from rsp7.linalg import (
     CapacityError,
     apply_to_qubits,
-    check_density,
     ket,
     partial_trace,
     pure_density,
@@ -91,18 +90,6 @@ def test_partial_trace_of_product_state():
     rho = pure_density(tensor(ket("0"), (ket("0") + ket("1")) / np.sqrt(2)))
     reduced = partial_trace(rho, [1])
     assert_allclose(reduced, 0.5 * np.ones((2, 2)), atol=1e-15)
-
-
-def test_check_density_flags_bad_inputs():
-    good = np.eye(4) / 4.0
-    assert check_density(good).within()
-    bad_trace = np.eye(4)
-    assert not check_density(bad_trace).within()
-    not_hermitian = np.eye(4, dtype=complex) / 4.0
-    not_hermitian[0, 1] = 0.3
-    assert not check_density(not_hermitian).within()
-    negative = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
-    assert not check_density(negative).within()
 
 
 def test_capacity_guard():
