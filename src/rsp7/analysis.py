@@ -14,7 +14,6 @@ cross-checks the 1 - (3/4)^m curve.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -56,14 +55,14 @@ def purity(rho: np.ndarray) -> float:
 # Fidelity sweeps.
 
 
-#: Stands in for the fidelity of a sweep cell whose forced branch, or whose
-#: sixteen branches together, have (numerically) zero probability.
-ERROR_MARKER = "impossible-branch"
+#: How far outside [0, 1] a possible sweep cell may lie by rounding.
+FIDELITY_TOL = 1e-10
 
-#: Largest eta grid.  A sweep's memory grows with its rows only: the engine
-#: holds one slice of blocks, at most about 46 KB per point (tracemalloc
-#: peak of a 66-point truncated call with four Kraus operators, 3.1 MB);
-#: a sweep of six kinds at this limit peaks at 20 MB, mostly its rows.
+#: Largest eta grid.  A sweep's memory grows with its cells only, 8 bytes
+#: per cell and model: the engine holds one slice of blocks, at most about
+#: 46 KB per point (tracemalloc peak of a 66-point truncated call with four
+#: Kraus operators, 3.1 MB); a sweep of six kinds and both models at this
+#: limit peaks at 4.6 MB.
 MAX_ETA_STEPS = 10_001
 
 #: Most (kind, eta) points per ``stacked_blocks`` call of a sweep, which
@@ -76,8 +75,9 @@ _SWEEP_SLICE = 66
 class SweepConfig:
     """Noise kinds and evolution models on an eta grid, with noise on ``qubits``.
 
-    ``qubits`` is normalized by NoiseSpec's rule, ``models`` kept in
-    EvolutionModel order.  On fewer than seven qubits the truncated model
+    ``kinds`` is kept in value order, the order of the result's rows,
+    ``models`` in EvolutionModel order, and ``qubits`` is normalized by
+    NoiseSpec's rule.  On fewer than seven qubits the truncated model
     alone is rejected, and next to the exact model it is dropped.
     """
 
@@ -96,7 +96,7 @@ class SweepConfig:
             raise ValueError("kinds must be a non-empty sequence of NoiseKind")
         if len(set(kinds)) != len(kinds):
             raise ValueError("kinds must not repeat")
-        object.__setattr__(self, "kinds", kinds)
+        object.__setattr__(self, "kinds", tuple(sorted(kinds, key=lambda k: k.value)))
         if not 0.0 <= self.eta_start <= self.eta_end <= 1.0:
             raise ValueError(
                 f"eta grid must satisfy 0 <= start <= end <= 1, got "
@@ -122,25 +122,6 @@ class SweepConfig:
 
     def etas(self) -> np.ndarray:
         return np.linspace(self.eta_start, self.eta_end, self.eta_steps)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    kind: NoiseKind
-    eta: float
-    branch: str
-    fidelity_exact: Optional[float]
-    fidelity_truncated: Optional[float]
-    error_exact: Optional[str] = None
-    error_truncated: Optional[str] = None
-
-    def __post_init__(self):
-        for name, f in (
-            ("fidelity_exact", self.fidelity_exact),
-            ("fidelity_truncated", self.fidelity_truncated),
-        ):
-            if f is not None and not -protocol.FIDELITY_TOL <= f <= 1.0 + protocol.FIDELITY_TOL:
-                raise ValueError(f"{name}={f!r} outside [0, 1] tolerance band")
 
 
 def _cells(blocks: np.ndarray, target: TargetState) -> tuple[np.ndarray, np.ndarray]:
@@ -181,7 +162,7 @@ def averaged_fidelity(
     model: EvolutionModel = EvolutionModel.EXACT,
 ) -> float:
     """Branch-probability-weighted fidelity of the noisy protocol; equal,
-    bit for bit, to the ``fidelity_sweep`` row of the same eta.  Raises
+    bit for bit, to the ``fidelity_sweep`` cell of the same eta.  Raises
     ImpossibleBranchError when no weight is left on the sixteen branches."""
     blocks = noise_mod.branch_blocks(target, spec.kind, [spec.eta], spec.qubits, model)
     return _one_cell(blocks, target, "the sixteen branches have total")
@@ -194,61 +175,46 @@ def branch_fidelity(
     model: EvolutionModel = EvolutionModel.EXACT,
 ) -> float:
     """Fidelity of one forced branch of the noisy protocol; equal, bit for
-    bit, to the ``fidelity_sweep`` row of the same eta.  Raises
+    bit, to the ``fidelity_sweep`` cell of the same eta.  Raises
     ImpossibleBranchError for a branch ``noisy_rsp_output`` rejects."""
     ops = [noise_mod.kraus_operators(spec.kind, [spec.eta])]
     blocks = noise_mod.stacked_blocks(target, ops, spec.qubits, model, key)
     return _one_cell(blocks, target, f"branch {key.label()} has")
 
 
-def fidelity_sweep(config: SweepConfig) -> tuple[SweepRow, ...]:
-    """One SweepRow per (kind, eta), sorted by (kind value, eta).
+def fidelity_sweep(config: SweepConfig) -> dict[EvolutionModel, np.ndarray]:
+    """The fidelity of each (kind, eta), as one read-only (kinds, etas)
+    array per model of ``config.models``, rows in ``config.kinds`` order.
 
     The kinds' grids form one point axis, kinds x etas, cut into
     near-equal slices of at most ``_SWEEP_SLICE`` points so memory stays
     bounded on any grid.  Each slice builds one Kraus stack per kind it
     touches and calls the engine once per model, for the sixteen keys of
-    the averaged fidelity or the forced branch alone; the rows equal those
+    the averaged fidelity or the forced branch alone; the cells equal those
     of one call over the whole axis.  A cell whose branch, or whose sixteen
-    branches together, have vanishing probability carries an error marker
-    instead of aborting the sweep.  A model missing from ``config.models``
-    leaves its column empty.
+    branches together, have vanishing probability holds NaN instead of
+    aborting the sweep.  Raises ValueError for a possible cell outside
+    [0, 1] by more than FIDELITY_TOL.
     """
-    branch_label = "averaged" if config.branch is None else config.branch.label()
     etas = config.etas()
     n_points = len(config.kinds) * len(etas)
-    cells = {model: (np.empty(n_points), np.empty(n_points, dtype=bool)) for model in config.models}
+    cells = {model: np.empty(n_points) for model in config.models}
     for part in np.array_split(np.arange(n_points), -(-n_points // _SWEEP_SLICE)):
         kind_of, eta_of = np.divmod(part, len(etas))
         ops = [noise_mod.kraus_operators(config.kinds[i], etas[eta_of[kind_of == i]])
                for i in range(kind_of[0], kind_of[-1] + 1)]
-        for model, (f, impossible) in cells.items():
-            f[part], weight = _cells(noise_mod.stacked_blocks(
+        for model, f in cells.items():
+            value, weight = _cells(noise_mod.stacked_blocks(
                 config.target, ops, config.qubits, model, config.branch), config.target)
-            impossible[part] = weight < protocol.MIN_BRANCH_PROBABILITY
-
-    def column(model):
-        """(fidelity, error marker) of each point, read lazily so that only the rows pile up."""
-        if model not in cells:
-            return itertools.repeat((None, None))
-        f, impossible = (a.tolist() for a in cells[model])
-        return ((None, ERROR_MARKER) if bad else (value, None) for value, bad in zip(f, impossible))
-
-    rows = [
-        SweepRow(
-            kind=kind,
-            eta=eta,
-            branch=branch_label,
-            fidelity_exact=f_exact,
-            fidelity_truncated=f_trunc,
-            error_exact=err_exact,
-            error_truncated=err_trunc,
-        )
-        for (kind, eta), (f_exact, err_exact), (f_trunc, err_trunc) in zip(
-            itertools.product(config.kinds, etas.tolist()), *map(column, EvolutionModel))
-    ]
-    rows.sort(key=lambda r: (r.kind.value, r.eta))
-    return tuple(rows)
+            possible = weight >= protocol.MIN_BRANCH_PROBABILITY
+            bad = possible & ~((-FIDELITY_TOL <= value) & (value <= 1.0 + FIDELITY_TOL))
+            if bad.any():
+                raise ValueError(f"fidelity_{model.value}={float(value[bad][0])!r} "
+                                 f"outside [0, 1] tolerance band")
+            f[part] = np.where(possible, value, np.nan)
+    for f in cells.values():
+        f.setflags(write=False)
+    return {model: f.reshape(len(config.kinds), -1) for model, f in cells.items()}
 
 
 # ---------------------------------------------------------------------------

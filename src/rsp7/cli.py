@@ -20,7 +20,7 @@ from typing import Callable, Collection, Optional, Sequence, TextIO
 import numpy as np
 
 from . import analysis, channel, protocol
-from .analysis import OutsideStrategy, SweepConfig, SweepRow
+from .analysis import OutsideStrategy, SweepConfig
 from .noise import ALL_QUBITS, TRANSMITTED_QUBITS, EvolutionModel, NoiseKind
 from .protocol import ImpossibleBranchError, OutcomeKey, TargetState
 
@@ -43,6 +43,11 @@ CSV_HEADER = (
     "fidelity_truncated",
 )
 
+#: Stands in for the fidelity of a sweep cell whose forced branch, or whose
+#: sixteen branches together, have (numerically) zero probability: a NaN
+#: of ``fidelity_sweep``.
+ERROR_MARKER = "impossible-branch"
+
 
 def _fmt(x: float) -> str:
     return f"{x:.12f}"
@@ -62,32 +67,34 @@ class UsageError(Exception):
 # CSV serialization.
 
 
-def write_sweep_csv(out: TextIO, rows: Sequence[SweepRow], target: TargetState) -> None:
+def write_sweep_csv(out: TextIO, config: SweepConfig,
+                    cells: dict[EvolutionModel, np.ndarray]) -> None:
+    """One line per (kind, eta) of ``config``, the cells of ``fidelity_sweep``."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    amplitudes = [_fmt(x) for x in (target.alpha.real, target.alpha.imag,
-                                    target.beta.real, target.beta.imag)]
-    writer.writerows(
-        [
-            row.kind.value,
-            _fmt(row.eta),
-            *amplitudes,
-            row.branch,
-            _cell(row.fidelity_exact, row.error_exact),
-            _cell(row.fidelity_truncated, row.error_truncated),
-        ]
-        for row in rows
-    )
+    t = config.target
+    label = [_fmt(x) for x in (t.alpha.real, t.alpha.imag, t.beta.real, t.beta.imag)]
+    label.append("averaged" if config.branch is None else config.branch.label())
+    etas = [_fmt(eta) for eta in config.etas().tolist()]
+    for i, kind in enumerate(config.kinds):
+        columns = [cells[m][i].tolist() if m in cells else [None] * len(etas)
+                   for m in EvolutionModel]
+        writer.writerows([kind.value, eta, *label, *map(_cell, values)]
+                         for eta, *values in zip(etas, *columns))
 
 
-def _cell(value: Optional[float], error: Optional[str]) -> str:
-    if value is not None:
-        # a fidelity that rounds to zero reads 0.000000000000: its sign is rounding noise
-        return _fmt(value).replace("-0.000000000000", "0.000000000000")
-    return analysis.ERROR_MARKER if error else ""
+def _cell(value: Optional[float]) -> str:
+    """A cell of an unrequested model reads empty, an impossible one the marker."""
+    if value is None:
+        return ""
+    if math.isnan(value):
+        return ERROR_MARKER
+    # a fidelity that rounds to zero reads 0.000000000000: its sign is rounding noise
+    return _fmt(value).replace("-0.000000000000", "0.000000000000")
 
 
-def write_sweep_svg(out: TextIO, rows: Sequence[SweepRow]) -> None:
+def write_sweep_svg(out: TextIO, config: SweepConfig,
+                    cells: dict[EvolutionModel, np.ndarray]) -> None:
     """Minimal static line chart of fidelity against eta (plumbing only)."""
     width, height = 640, 420
     ml, mr, mt, mb = 50, 150, 20, 40
@@ -95,8 +102,7 @@ def write_sweep_svg(out: TextIO, rows: Sequence[SweepRow]) -> None:
     palette = (
         "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
     )
-    kinds = sorted({r.kind for r in rows}, key=lambda k: k.value)
-    color = {k: palette[i % len(palette)] for i, k in enumerate(kinds)}
+    etas = config.etas().tolist()
 
     def px(eta: float) -> float:
         return ml + eta * pw
@@ -120,19 +126,18 @@ def write_sweep_svg(out: TextIO, rows: Sequence[SweepRow]) -> None:
             f'<text x="{ml - 6}" y="{py(tick) + 4:.1f}" font-size="11" text-anchor="end">{tick:g}</text>'
         )
     legend_y = mt + 10
-    for kind in kinds:
-        for attr, dash in (("fidelity_exact", ""), ("fidelity_truncated", ' stroke-dasharray="5,3"')):
-            pts = [
-                f"{px(r.eta):.2f},{py(getattr(r, attr)):.2f}"
-                for r in rows
-                if r.kind == kind and getattr(r, attr) is not None
-            ]
+    for i, kind in enumerate(config.kinds):
+        color = palette[i % len(palette)]
+        for model, dash in ((EvolutionModel.EXACT, ""),
+                            (EvolutionModel.TRUNCATED, ' stroke-dasharray="5,3"')):
+            column = cells[model][i].tolist() if model in cells else []
+            pts = [f"{px(eta):.2f},{py(f):.2f}" for eta, f in zip(etas, column) if not math.isnan(f)]
             if len(pts) >= 2:
                 parts.append(
-                    f'<polyline fill="none" stroke="{color[kind]}"{dash} points="{" ".join(pts)}"/>'
+                    f'<polyline fill="none" stroke="{color}"{dash} points="{" ".join(pts)}"/>'
                 )
         parts.append(
-            f'<line x1="{ml + pw + 10}" y1="{legend_y}" x2="{ml + pw + 30}" y2="{legend_y}" stroke="{color[kind]}"/>'
+            f'<line x1="{ml + pw + 10}" y1="{legend_y}" x2="{ml + pw + 30}" y2="{legend_y}" stroke="{color}"/>'
         )
         parts.append(
             f'<text x="{ml + pw + 34}" y="{legend_y + 4}" font-size="11">{kind.value}</text>'
@@ -350,16 +355,16 @@ def _cmd_sweep(opts: _Options, stdout: TextIO) -> int:
     try:
         # opened before the grid is computed, so a bad path fails at once
         with open(path, "w", encoding="utf-8", newline="") as f:
-            rows = analysis.fidelity_sweep(config)
-            write_sweep_csv(f, rows, target)
+            cells = analysis.fidelity_sweep(config)
+            write_sweep_csv(f, config, cells)
     except OSError as e:
         raise OSError(f"cannot write {path}: {e}") from e
-    print(f"wrote {len(rows)} rows to {path}", file=stdout)
+    print(f"wrote {len(config.kinds) * config.eta_steps} rows to {path}", file=stdout)
     if opts.get("svg", bool, False):
         svg_path = os.path.splitext(path)[0] + ".svg"
         try:
             with open(svg_path, "w", encoding="utf-8", newline="") as f:
-                write_sweep_svg(f, rows)
+                write_sweep_svg(f, config, cells)
         except OSError as e:
             raise OSError(f"cannot write {svg_path}: {e}") from e
         print(f"wrote chart to {svg_path}", file=stdout)

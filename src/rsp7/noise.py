@@ -489,12 +489,11 @@ def trajectory_estimate(
     py = np.einsum("sj,sj->s", amp.view(np.float64), amp.view(np.float64))  # over (re, im)
 
     cums = [np.cumsum(w.reshape(-1, n_ops), axis=1) for w in weights]
-    n_chunks = (n_samples + _CHUNK - 1) // _CHUNK
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
+    root = np.random.SeedSequence(seed)
     sx = sy = 0.0
-    for i in range(n_chunks):
-        m = min(_CHUNK, n_samples - i * _CHUNK)
-        rng = np.random.default_rng(children[i])
+    for first in range(0, n_samples, _CHUNK):
+        m = min(_CHUNK, n_samples - first)
+        rng = np.random.default_rng(root.spawn(1)[0])  # child i of spawn(n), none held
         s = np.zeros(m, dtype=np.intp)
         for cum in cums:
             c = np.take(cum, s, axis=0)  # the next index's cumulative weights given the prefix

@@ -49,8 +49,6 @@ _EMPTY_NORM = 1e-12
 _PHASE_FLOOR = 1e-9
 #: Largest ``_sequence_defect`` of a gate list that counts as a correct recovery.
 GATE_TOL = 1e-10
-#: How far outside [0, 1] a ``SweepRow`` fidelity may lie by rounding.
-FIDELITY_TOL = 1e-10
 
 
 class ImpossibleBranchError(RuntimeError):

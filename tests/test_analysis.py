@@ -81,34 +81,39 @@ def test_purity_rank_one_iff_one():
 # Sweeps.
 
 
+def _same_cells(a, b):
+    """Two sweep results hold the same models and the same bytes."""
+    return list(a) == list(b) and all(a[m].tobytes() == b[m].tobytes() for m in a)
+
+
 def test_sweep_eta_zero_rows_are_one():
     cfg = SweepConfig(kinds=tuple(NoiseKind), target=BELL, eta_steps=2)
-    rows = fidelity_sweep(cfg)
-    for row in rows:
-        if row.eta == 0.0:
-            assert_allclose(row.fidelity_exact, 1.0, atol=1e-12)
-            assert_allclose(row.fidelity_truncated, 1.0, atol=1e-12)
+    cells = fidelity_sweep(cfg)
+    assert cfg.etas()[0] == 0.0
+    for model in EvolutionModel:
+        assert_allclose(cells[model][:, 0], 1.0, atol=1e-12)
 
 
 def test_sweep_shape_order_and_determinism():
     cfg = SweepConfig(kinds=(NoiseKind.PHASE_FLIP, NoiseKind.BIT_FLIP),
                       target=BELL, eta_steps=3)
-    rows = fidelity_sweep(cfg)
-    assert len(rows) == 6
-    labels = [(r.kind.value, r.eta) for r in rows]
-    assert labels == sorted(labels)
+    assert cfg.kinds == (NoiseKind.BIT_FLIP, NoiseKind.PHASE_FLIP)  # value order
+    cells = fidelity_sweep(cfg)
+    assert list(cells) == list(EvolutionModel)
+    for f in cells.values():
+        assert f.shape == (2, 3)
+        assert not f.flags.writeable
     again = fidelity_sweep(cfg)
-    assert rows == again
+    assert _same_cells(cells, again)
 
 
 def test_sweep_branch_mode_matches_branch_fidelity():
     spec = NoiseSpec(NoiseKind.PHASE_DAMPING, 0.5)
     cfg = SweepConfig(kinds=(NoiseKind.PHASE_DAMPING,), target=BELL,
                       eta_start=0.5, eta_end=1.0, eta_steps=2, branch=KEY00)
-    rows = fidelity_sweep(cfg)
+    cells = fidelity_sweep(cfg)
     want = branch_fidelity(BELL, KEY00, spec, EvolutionModel.EXACT)
-    assert_allclose(rows[0].fidelity_exact, want, atol=1e-12)
-    assert rows[0].branch == KEY00.label()
+    assert_allclose(cells[EvolutionModel.EXACT][0, 0], want, atol=1e-12)
 
 
 def test_sweep_error_marker_on_impossible_branch():
@@ -116,12 +121,10 @@ def test_sweep_error_marker_on_impossible_branch():
     cfg = SweepConfig(kinds=(NoiseKind.AMPLITUDE_DAMPING,), target=BELL,
                       eta_start=1.0, eta_end=1.0, eta_steps=2,
                       branch=OutcomeKey(1, "11", "11"))
-    rows = fidelity_sweep(cfg)
-    for row in rows:
-        assert row.fidelity_exact is None
-        assert row.fidelity_truncated is None
-        assert row.error_exact == "impossible-branch"
-        assert row.error_truncated == "impossible-branch"
+    cells = fidelity_sweep(cfg)
+    assert list(cells) == list(EvolutionModel)
+    for f in cells.values():
+        assert np.isnan(f).all()
 
 
 @pytest.mark.parametrize("qubits", [(6,), (4, 6)])
@@ -129,10 +132,11 @@ def test_sweep_marks_averaged_cells_with_no_weight_left(qubits):
     # a flip of C2 and not of D2 breaks c2 = d2, so at eta = 1 every round
     # lands on a helper pattern outside the sixteen keys
     kinds = (NoiseKind.BIT_FLIP, NoiseKind.BIT_PHASE_FLIP)
-    rows = fidelity_sweep(SweepConfig(kinds=kinds, target=TargetState(0.6, 0.8), qubits=qubits))
-    assert [(r.kind, r.error_exact) for r in rows if r.eta == 1.0] == [
-        (kind, "impossible-branch") for kind in kinds]
-    assert all(r.fidelity_exact is not None for r in rows if r.eta < 1.0)
+    config = SweepConfig(kinds=kinds, target=TargetState(0.6, 0.8), qubits=qubits)
+    assert config.kinds == kinds and config.etas()[-1] == 1.0
+    f = fidelity_sweep(config)[EvolutionModel.EXACT]
+    assert np.isnan(f[:, -1]).all()
+    assert not np.isnan(f[:, :-1]).any()
 
 
 def test_averaged_fidelity_raises_with_no_weight_left():
@@ -145,11 +149,39 @@ def test_averaged_fidelity_raises_with_no_weight_left():
 def test_sweep_transmitted_scope_skips_truncated_column():
     cfg = SweepConfig(kinds=(NoiseKind.BIT_FLIP,), target=BELL, eta_steps=2,
                       qubits=TRANSMITTED_QUBITS)
-    rows = fidelity_sweep(cfg)
-    for row in rows:
-        assert row.fidelity_exact is not None
-        assert row.fidelity_truncated is None
-        assert row.error_truncated is None
+    cells = fidelity_sweep(cfg)
+    assert list(cells) == [EvolutionModel.EXACT]
+    assert not np.isnan(cells[EvolutionModel.EXACT]).any()
+
+
+@pytest.mark.parametrize("value", [math.nan, 1.5])
+def test_sweep_rejects_a_possible_cell_outside_the_unit_band(monkeypatch, value):
+    # impossible cells become NaN only after the check, so a bad possible cell still raises
+    def bad_cells(blocks, target):
+        f = np.full(blocks.shape[0], 0.5)
+        f[1] = value
+        return f, np.ones(blocks.shape[0])
+
+    monkeypatch.setattr(analysis, "_cells", bad_cells)
+    with pytest.raises(ValueError) as info:
+        fidelity_sweep(SweepConfig(kinds=(NoiseKind.BIT_FLIP,), target=BELL, eta_steps=3))
+    assert str(info.value) == f"fidelity_exact={value!r} outside [0, 1] tolerance band"
+
+
+def test_sweep_peak_does_not_grow_with_its_rows():
+    def peak(steps):
+        config = SweepConfig(kinds=(NoiseKind.BIT_FLIP,), target=BELL, eta_steps=steps,
+                             models=(EvolutionModel.EXACT,))
+        tracemalloc.start()
+        try:
+            fidelity_sweep(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(11)
+    # the 9,000 more cells hold 72 KB; nothing else may grow with them
+    assert peak(10_001) <= peak(1_001) + 400 * 1024
 
 
 @pytest.mark.parametrize("branch", [None, OutcomeKey(2, "11", "11")])
@@ -161,24 +193,24 @@ def test_sliced_sweep_rows_equal_one_engine_call(monkeypatch, branch):
     monkeypatch.setattr(analysis, "_SWEEP_SLICE", 60)
     whole = fidelity_sweep(config)
     monkeypatch.setattr(analysis, "_SWEEP_SLICE", 3)
-    assert fidelity_sweep(config) == whole
-    assert (analysis.ERROR_MARKER in {r.error_exact for r in whole}) == (branch is not None)
+    assert _same_cells(fidelity_sweep(config), whole)
+    assert np.isnan(whole[EvolutionModel.EXACT]).any() == (branch is not None)
 
 
 @pytest.mark.parametrize("branch", [None, ALL_OUTCOME_KEYS[13]])
 def test_sweep_rows_equal_one_point_calls_bit_for_bit(branch):
     # a one-point grid reduces the sixteen keys in the order a longer grid does
     target = TargetState.random(np.random.default_rng(15))
-    rows = fidelity_sweep(SweepConfig(kinds=tuple(NoiseKind), target=target, branch=branch))
-    for row in rows:
-        spec = NoiseSpec(row.kind, row.eta)
-        for model, want in ((EvolutionModel.EXACT, row.fidelity_exact),
-                            (EvolutionModel.TRUNCATED, row.fidelity_truncated)):
-            if want is None:
+    config = SweepConfig(kinds=tuple(NoiseKind), target=target, branch=branch)
+    etas = config.etas().tolist()
+    for model, cells in fidelity_sweep(config).items():
+        for (i, j), want in np.ndenumerate(cells):
+            if np.isnan(want):
                 continue
+            spec = NoiseSpec(config.kinds[i], etas[j])
             got = (averaged_fidelity(target, spec, model) if branch is None
                    else branch_fidelity(target, branch, spec, model))
-            assert got == want, (row.kind, row.eta, model)
+            assert got == want, (config.kinds[i], etas[j], model)
 
 
 def test_sweep_builds_one_kraus_stack_per_engine_call(monkeypatch):
@@ -190,8 +222,9 @@ def test_sweep_builds_one_kraus_stack_per_engine_call(monkeypatch):
         return build(kind, eta)
 
     monkeypatch.setattr(noise, "kraus_operators", counted)
-    fidelity_sweep(SweepConfig(kinds=tuple(NoiseKind), target=BELL))
-    assert calls == list(NoiseKind)  # one per kind, shared by both models
+    config = SweepConfig(kinds=tuple(NoiseKind), target=BELL)
+    fidelity_sweep(config)
+    assert calls == list(config.kinds)  # one per kind, shared by both models
 
 
 @pytest.mark.parametrize("qubits, normalized", [((1, 4), (1, 4)), ((3, 2, 2), (2, 3))])
@@ -200,16 +233,19 @@ def test_sweep_on_any_qubit_subset_equals_one_point_calls(qubits, normalized):
     target = TargetState(0.6, 0.8)
     config = SweepConfig(kinds=tuple(NoiseKind), target=target, eta_steps=5, qubits=qubits)
     assert (config.qubits, config.models) == (normalized, (EvolutionModel.EXACT,))
-    for row in fidelity_sweep(config):
-        assert row.fidelity_truncated is None
-        assert row.fidelity_exact == averaged_fidelity(target, NoiseSpec(row.kind, row.eta, qubits))
+    cells = fidelity_sweep(config)
+    assert list(cells) == [EvolutionModel.EXACT]
+    etas = config.etas().tolist()
+    for (i, j), f in np.ndenumerate(cells[EvolutionModel.EXACT]):
+        assert f == averaged_fidelity(target, NoiseSpec(config.kinds[i], etas[j], qubits))
 
 
 def test_sweep_fills_exact_then_truncated_whatever_the_model_order():
     config = SweepConfig(kinds=(NoiseKind.AMPLITUDE_DAMPING,), target=BELL,
                          models=(EvolutionModel.TRUNCATED, EvolutionModel.EXACT))
     assert config.models == tuple(EvolutionModel)
-    assert fidelity_sweep(config) == fidelity_sweep(SweepConfig(kinds=config.kinds, target=BELL))
+    assert _same_cells(fidelity_sweep(config),
+                       fidelity_sweep(SweepConfig(kinds=config.kinds, target=BELL)))
 
 
 @pytest.mark.parametrize("settings, message", [

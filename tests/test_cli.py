@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from rsp7 import analysis, channel, cli, noise
 from rsp7.analysis import SweepConfig
 from rsp7.cli import main
-from rsp7.noise import NoiseKind
+from rsp7.noise import EvolutionModel, NoiseKind
 from rsp7.protocol import OutcomeKey, TargetState
 
 
@@ -27,7 +27,7 @@ def run_cli(args, capsys):
 
 def sweep_csv_text(config):
     buf = io.StringIO()
-    cli.write_sweep_csv(buf, analysis.fidelity_sweep(config), config.target)
+    cli.write_sweep_csv(buf, config, analysis.fidelity_sweep(config))
     return buf.getvalue()
 
 
@@ -243,10 +243,11 @@ def test_sweep_branch_with_error_marker(tmp_path, capsys):
 
 def test_sweep_cell_prints_a_vanishing_fidelity_without_sign():
     # bit-phase flip at eta = 1 on a forced branch can leave -1e-17
-    rows = [analysis.SweepRow(NoiseKind.BIT_PHASE_FLIP, 1.0, "U1,00,10", f, None)
-            for f in (-2.6e-17, -0.0, 0.0)]
+    config = SweepConfig(kinds=(NoiseKind.BIT_PHASE_FLIP,), target=TargetState(0.6, 0.8),
+                         eta_start=1.0, eta_steps=3, models=(EvolutionModel.EXACT,),
+                         branch=OutcomeKey(1, "00", "10"))
     out = io.StringIO()
-    cli.write_sweep_csv(out, rows, TargetState(0.6, 0.8))
+    cli.write_sweep_csv(out, config, {EvolutionModel.EXACT: np.array([[-2.6e-17, -0.0, 0.0]])})
     cells = [line.split(",")[-2] for line in out.getvalue().splitlines()[1:]]
     assert cells == ["0.000000000000"] * 3
 
@@ -265,7 +266,7 @@ def test_sweep_unwritable_path(tmp_path, capsys, monkeypatch):
 def test_sweep_steps_limit(tmp_path, capsys, monkeypatch):
     def no_grid(config):
         assert config.eta_steps == cli.analysis.MAX_ETA_STEPS
-        return ()
+        return {}
 
     monkeypatch.setattr(cli.analysis, "fidelity_sweep", no_grid)
     argv = ["sweep", "--alpha", "1", "--beta", "0", "--out", str(tmp_path / "s.csv")]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -395,6 +396,23 @@ def test_trajectory_stream_is_pinned(target, key, spec, n, seed, fidelity, std_e
     est = trajectory_estimate(target, key, spec, n_samples=n, seed=seed)
     assert abs(est.fidelity - fidelity) <= 1e-12
     assert abs(est.std_error - std_error) <= 1e-12
+
+
+def _trajectory_peak(n_samples):
+    spec = NoiseSpec(NoiseKind.DEPOLARIZING, 0.3)
+    tracemalloc.start()
+    try:
+        trajectory_estimate(BELL, ALL_OUTCOME_KEYS[5], spec, n_samples=n_samples, seed=11)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trajectory_peak_does_not_grow_with_samples(monkeypatch):
+    monkeypatch.setattr(noise, "_CHUNK", 1)
+    _trajectory_peak(10)
+    # 1 KB covers interpreter noise; 1,000 samples draw 900 more chunks than 100
+    assert _trajectory_peak(1_000) <= _trajectory_peak(100) + 1024
 
 
 def test_trajectory_error_covers_undrawn_rare_strings():

@@ -130,3 +130,10 @@ def test_import_builds_no_cached_tables():
     assert ["rsp7.protocol", "table_report", "0"] in tables
     assert ["rsp7.cli", "build_parser", "0"] in tables
     assert [t for t in tables if t[2] != "0"] == []
+
+
+def test_readme_library_sketch_runs():
+    # the one Python block of README.md, so the docs follow the library's API
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
