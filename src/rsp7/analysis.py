@@ -77,7 +77,7 @@ class SweepConfig:
 
     ``kinds`` is kept in value order, the order of the result's rows,
     ``models`` in EvolutionModel order, and ``qubits`` is normalized by
-    NoiseSpec's rule.  On fewer than seven qubits the truncated model
+    ``noise.noisy_qubits``.  On fewer than seven qubits the truncated model
     alone is rejected, and next to the exact model it is dropped.
     """
 
@@ -109,7 +109,7 @@ class SweepConfig:
         if not models or any(not isinstance(m, EvolutionModel) for m in models):
             raise ValueError("models must be a non-empty sequence of EvolutionModel")
         models = tuple(m for m in EvolutionModel if m in models)
-        qubits = NoiseSpec(kinds[0], 0.0, self.qubits).qubits  # NoiseSpec's qubit rule
+        qubits = noise_mod.noisy_qubits(self.qubits)
         if EvolutionModel.TRUNCATED in models:
             try:
                 noise_mod.require_all_seven(qubits)
@@ -146,14 +146,19 @@ def _cells(blocks: np.ndarray, target: TargetState) -> tuple[np.ndarray, np.ndar
     return num / np.where(weight < protocol.MIN_BRANCH_PROBABILITY, 1.0, weight), weight
 
 
-def _one_cell(blocks: np.ndarray, target: TargetState, subject: str) -> float:
-    """The fidelity of a one-point stack.  Raises ImpossibleBranchError, read
-    "<subject> probability ...", when its weight is below MIN_BRANCH_PROBABILITY."""
+def _point(target: TargetState, spec: NoiseSpec, model: EvolutionModel,
+           key: Optional[OutcomeKey], subject: str) -> tuple[np.ndarray, float, float]:
+    """Blocks, fidelity and weight of one noise point, over the sixteen keys
+    or ``key`` alone, from one engine call.  Raises ImpossibleBranchError,
+    read "<subject> probability ...", when the weight is below
+    MIN_BRANCH_PROBABILITY."""
+    ops = [noise_mod.kraus_operators(spec.kind, [spec.eta])]
+    blocks = noise_mod.stacked_blocks(target, ops, spec.qubits, model, key)
     f, weight = _cells(blocks, target)
-    if weight[0] < protocol.MIN_BRANCH_PROBABILITY:
-        p = float(weight[0])
+    p = float(weight[0])
+    if p < protocol.MIN_BRANCH_PROBABILITY:
         raise protocol.ImpossibleBranchError(f"{subject} probability {p:.3e} under this noise", p)
-    return float(f[0])
+    return blocks[0], float(f[0]), p
 
 
 def averaged_fidelity(
@@ -164,8 +169,7 @@ def averaged_fidelity(
     """Branch-probability-weighted fidelity of the noisy protocol; equal,
     bit for bit, to the ``fidelity_sweep`` cell of the same eta.  Raises
     ImpossibleBranchError when no weight is left on the sixteen branches."""
-    blocks = noise_mod.branch_blocks(target, spec.kind, [spec.eta], spec.qubits, model)
-    return _one_cell(blocks, target, "the sixteen branches have total")
+    return _point(target, spec, model, None, "the sixteen branches have total")[1]
 
 
 def branch_fidelity(
@@ -177,9 +181,21 @@ def branch_fidelity(
     """Fidelity of one forced branch of the noisy protocol; equal, bit for
     bit, to the ``fidelity_sweep`` cell of the same eta.  Raises
     ImpossibleBranchError for a branch ``noisy_rsp_output`` rejects."""
-    ops = [noise_mod.kraus_operators(spec.kind, [spec.eta])]
-    blocks = noise_mod.stacked_blocks(target, ops, spec.qubits, model, key)
-    return _one_cell(blocks, target, f"branch {key.label()} has")
+    return _point(target, spec, model, key, f"branch {key.label()} has")[1]
+
+
+def noisy_rsp_output(
+    target: TargetState,
+    key: OutcomeKey,
+    spec: NoiseSpec,
+    model: EvolutionModel = EvolutionModel.EXACT,
+) -> np.ndarray:
+    """Receiver-pair density matrix after the full noisy protocol branch; raises
+    ImpossibleBranchError for a branch weight below MIN_BRANCH_PROBABILITY."""
+    blocks, _, p = _point(target, spec, model, key, f"branch {key.label()} has")
+    out = blocks[0] / p
+    out.setflags(write=False)
+    return out
 
 
 def fidelity_sweep(config: SweepConfig) -> dict[EvolutionModel, np.ndarray]:
@@ -654,6 +670,10 @@ def continuity_modulus(
     model: EvolutionModel = EvolutionModel.EXACT,
 ) -> float:
     """Largest slope of the averaged fidelity between neighbouring points
-    of an increasing eta grid, from one engine call over the grid."""
-    f = _cells(noise_mod.branch_blocks(target, kind, etas, ALL_QUBITS, model), target)[0]
+    of a strictly increasing eta grid, from one engine call over the grid."""
+    etas = np.asarray(etas, dtype=np.float64)
+    if etas.ndim != 1 or len(etas) < 2 or not np.all(np.diff(etas) > 0):
+        raise ValueError("etas must be a strictly increasing 1-D grid of at least two points")
+    ops = [noise_mod.kraus_operators(kind, etas)]
+    f = _cells(noise_mod.stacked_blocks(target, ops, ALL_QUBITS, model), target)[0]
     return float(np.max(np.abs(np.diff(f)) / np.diff(etas)))

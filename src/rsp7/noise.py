@@ -13,11 +13,11 @@ the numerical evidence for that mismatch.  TRUNCATED is defined only for
 noise on all seven qubits, a rule ``require_all_seven`` owns.
 
 Fidelities are computed by ``stacked_blocks``, one call over the points
-of several noise kinds (``branch_blocks`` is its one-kind view), without
-the 128x128 density matrix: the exact model sends the measured qubits'
-projectors through the dual map, where noise on a helper is a classical
-bit channel, and the truncated model reads its uniform-index vectors in
-the party layout.  ``evolved_state``, ``apply_noise``,
+of several noise kinds on the qubits ``noisy_qubits`` normalizes,
+without the 128x128 density matrix: the exact model sends the measured
+qubits' projectors through the dual map, where noise on a helper is a
+classical bit channel, and the truncated model reads its uniform-index
+vectors in the party layout.  ``evolved_state``, ``apply_noise``,
 ``truncated_channel_state`` and ``branch_reduction`` are the direct
 density-matrix construction the engine is checked against.  The
 Monte-Carlo cross-check ``trajectory_estimate`` reads its trajectories
@@ -94,10 +94,15 @@ class NoiseSpec:
         if not 0.0 <= eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
         object.__setattr__(self, "eta", eta)
-        qs = tuple(sorted(set(int(q) for q in self.qubits)))
-        if not qs or qs[0] < 1 or qs[-1] > 7:
-            raise ValueError(f"qubits must be a non-empty subset of 1..7, got {self.qubits!r}")
-        object.__setattr__(self, "qubits", qs)
+        object.__setattr__(self, "qubits", noisy_qubits(self.qubits))
+
+
+def noisy_qubits(qubits: Sequence[int]) -> tuple[int, ...]:
+    """The noisy-qubit rule: sorted, without repeats, a non-empty subset of 1..7."""
+    qs = tuple(sorted(set(int(q) for q in qubits)))
+    if not qs or qs[0] < 1 or qs[-1] > 7:
+        raise ValueError(f"qubits must be a non-empty subset of 1..7, got {qubits!r}")
+    return qs
 
 
 def require_all_seven(qubits: tuple[int, ...]) -> None:
@@ -255,13 +260,13 @@ def stacked_blocks(
     """Unnormalized receiver-pair blocks at every point of stacked Kraus sets.
 
     ``ops`` holds one ``kraus_operators`` stack (n_i, n_ops_i, 2, 2) per
-    noise kind, and their points, in order, form the point axis; ``qubits``
-    is normalized as NoiseSpec does.  Shape (points, 16, 4, 4) for all of
-    ALL_OUTCOME_KEYS, or (points, 1, 4, 4) for ``key`` alone.  A point's
-    blocks do not depend on the other points.  They are computed from
-    W = party_layout(Psi), shape (sender, helper pattern, pair), without the
-    128x128 density matrix, as row-major vectors vec(B), on which
-    B -> E B E^dagger is the 16x16 matrix E (x) E*.
+    noise kind, and their points, in order, form the point axis, which must
+    not be empty; ``qubits`` is normalized by ``noisy_qubits``.  Shape
+    (points, 16, 4, 4) for all of ALL_OUTCOME_KEYS, or (points, 1, 4, 4) for
+    ``key`` alone.  A point's blocks do not depend on the other points.
+    They are computed from W = party_layout(Psi), shape (sender, helper
+    pattern, pair), without the 128x128 density matrix, as row-major vectors
+    vec(B), on which B -> E B E^dagger is the 16x16 matrix E (x) E*.
 
     Exact model: only a point's 4x4 superoperator enters, so the kinds'
     superoperators are concatenated.  Each qubit takes its superoperator
@@ -274,12 +279,15 @@ def stacked_blocks(
     sum_g T[h_k, g] sum_{s,s'} D_a[s, s'] W[s', g] W[s, g]^dagger, with D_a
     the sender's dual projector, then the pair's forward channel.
 
-    Truncated model, one pass per Kraus count: the uniform-index vectors are
+    Truncated model, one pass per kind: the uniform-index vectors are
     read in the layout, <u_a|E_j on the sender, E_j^(x4) on the helpers and
     E_j (x) E_j on the pair; the blocks are divided by
     sum_j |E_j^(x7) Psi|^2, the weight of all 32 outcomes.  Every block
     ends with its recovery gates G_k.
     """
+    qubits = noisy_qubits(qubits)
+    if not sum(map(len, ops)):
+        raise ValueError("etas must hold at least one value")
     # indices into ALL_OUTCOME_KEYS, one row per sender outcome
     grid = np.arange(16).reshape(2, 8) if key is None else np.array([[ALL_OUTCOME_KEYS.index(key)]])
     keys = grid.ravel()
@@ -307,61 +315,21 @@ def stacked_blocks(
     elif model is EvolutionModel.TRUNCATED:
         require_all_seven(qubits)
         by_pattern = w.transpose(1, 0, 2).reshape(16, 8)
-        counts = np.repeat([o.shape[1] for o in ops], [len(o) for o in ops])  # per point
-        blocks = np.empty((len(counts), len(keys), 16), dtype=np.complex128)
-        for n_ops in sorted({o.shape[1] for o in ops}):
-            group = np.concatenate([o for o in ops if o.shape[1] == n_ops])
-            pair = _kron(group, group)
-            sender_pair = _kron(senders.conj() @ group, pair)
+        parts = []
+        for o in ops:
+            pair = _kron(o, o)
+            sender_pair = _kron(senders.conj() @ o, pair)
             amp = _kron(pair, pair) @ by_pattern @ sender_pair.swapaxes(-1, -2)
             weight = np.einsum("ejgx,ejgx->e", amp, amp.conj()).real
-            picked = amp.reshape(len(group), n_ops, 16, 2, 4)[:, :, _HELPER[keys], _SENDER[keys]]
-            blocks[counts == n_ops] = _kron(picked[..., None], picked[..., None].conj()).sum(
-                axis=1).reshape(len(group), -1, 16) / weight[:, None, None]
+            picked = amp.reshape(o.shape[:2] + (16, 2, 4))[:, :, _HELPER[keys], _SENDER[keys]]
+            parts.append(_kron(picked[..., None], picked[..., None].conj()).sum(
+                axis=1).reshape(len(o), -1, 16) / weight[:, None, None])
+        blocks = np.concatenate(parts)
     else:
         raise TypeError(f"unknown evolution model {model!r}")
     gates = np.array([table_report()[k].matrix for k in keys])
     out = blocks[:, :, None] @ _kron(gates, gates.conj()).swapaxes(-1, -2)
     out = out.reshape(-1, len(keys), 4, 4)
-    out.setflags(write=False)
-    return out
-
-
-def branch_blocks(
-    target: TargetState,
-    kind: NoiseKind,
-    etas: Sequence[float],
-    qubits: Sequence[int] = ALL_QUBITS,
-    model: EvolutionModel = EvolutionModel.EXACT,
-) -> np.ndarray:
-    """Unnormalized receiver-pair blocks of all sixteen branches on an eta grid.
-
-    The one-kind view of ``stacked_blocks``: ``out[i, k]`` equals
-    ``branch_reduction(evolved_state(NoiseSpec(kind, etas[i], qubits),
-    model), target, ALL_OUTCOME_KEYS[k])``.  Shape (len(etas), 16, 4, 4).
-    """
-    if not len(etas):
-        raise ValueError("etas must hold at least one value")
-    spec = NoiseSpec(kind, etas[0], qubits)  # checks the kind and the qubits once
-    return stacked_blocks(target, [kraus_operators(kind, etas)], spec.qubits, model)
-
-
-def noisy_rsp_output(
-    target: TargetState,
-    key: OutcomeKey,
-    spec: NoiseSpec,
-    model: EvolutionModel = EvolutionModel.EXACT,
-) -> np.ndarray:
-    """Receiver-pair density matrix after the full noisy protocol branch; raises
-    ImpossibleBranchError for a branch weight below MIN_BRANCH_PROBABILITY."""
-    ops = [kraus_operators(spec.kind, [spec.eta])]
-    block = stacked_blocks(target, ops, spec.qubits, model, key)[0, 0]
-    p = float(np.trace(block).real)
-    if p < MIN_BRANCH_PROBABILITY:
-        raise ImpossibleBranchError(
-            f"branch {key.label()} has probability {p:.3e} under this noise", p
-        )
-    out = block / p
     out.setflags(write=False)
     return out
 

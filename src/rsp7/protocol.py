@@ -402,7 +402,6 @@ def measure_projective(
 
 @dataclass(frozen=True)
 class ProtocolTranscript:
-    target: TargetState
     outcome: OutcomeKey
     branch_probability: float
     gates: tuple[str, ...]
@@ -455,7 +454,6 @@ def run_rsp(
     bob.setflags(write=False)
     fid = float(abs(np.vdot(target.ket(), bob)) ** 2)
     return ProtocolTranscript(
-        target=target,
         outcome=key,
         branch_probability=float(p_a * p_cd),
         gates=rule.gates,

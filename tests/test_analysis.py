@@ -301,6 +301,13 @@ def test_continuity_modulus_is_the_largest_grid_slope():
     assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("etas", [[0.0, 0.5, 0.5], [0.5, 0.2, 0.9], [0.3]])
+def test_continuity_modulus_rejects_a_grid_that_is_not_strictly_increasing(etas):
+    with pytest.raises(ValueError) as info:
+        analysis.continuity_modulus(BELL, NoiseKind.DEPOLARIZING, etas)
+    assert str(info.value) == "etas must be a strictly increasing 1-D grid of at least two points"
+
+
 def test_invariant_checks_pass_in_printed_order():
     checks = analysis.invariant_checks()
     assert [c.name for c in checks] == [

@@ -18,7 +18,6 @@ from rsp7.noise import (
     NoiseKind,
     NoiseSpec,
     _string_tables,
-    branch_blocks,
     branch_reduction,
     evolved_state,
     kraus_operators,
@@ -47,7 +46,7 @@ def noise_settings(draw):
 @given(targets, kinds, st.lists(etas, min_size=1, max_size=3), noise_settings())
 def test_blocks_match_density_path(target, kind, grid, setting):
     qubits, model = setting
-    blocks = branch_blocks(target, kind, grid, qubits, model)
+    blocks = stacked_blocks(target, [kraus_operators(kind, grid)], qubits, model)
     assert blocks.shape == (len(grid), 16, 4, 4)
     for i, eta in enumerate(grid):
         rho = evolved_state(NoiseSpec(kind, eta, qubits), model)
@@ -63,7 +62,7 @@ def test_noiseless_fidelity_is_one(target, kind, setting):
     spec = NoiseSpec(kind, 0.0, qubits)
     assert abs(averaged_fidelity(target, spec, model) - 1.0) <= 1e-12
     xi = target.ket()
-    for block in branch_blocks(target, kind, [0.0], qubits, model)[0]:
+    for block in stacked_blocks(target, [kraus_operators(kind, [0.0])], qubits, model)[0]:
         f = (xi.conj() @ block @ xi).real / np.trace(block).real
         assert abs(f - 1.0) <= 1e-12
 
@@ -74,7 +73,7 @@ def test_noiseless_fidelity_is_one(target, kind, setting):
 def test_dephasing_keeps_all_weight_on_the_sixteen_branches(target, kind, grid, qubits):
     # dephasing commutes with the helpers' computational-basis measurement,
     # so no weight leaks into helper patterns outside the sixteen keys
-    blocks = branch_blocks(target, kind, grid, qubits, EvolutionModel.EXACT)
+    blocks = stacked_blocks(target, [kraus_operators(kind, grid)], qubits, EvolutionModel.EXACT)
     weights = np.trace(blocks, axis1=-2, axis2=-1).real.sum(axis=1)
     assert np.max(np.abs(weights - 1.0)) <= 1e-12
 
@@ -133,7 +132,7 @@ def test_blocks_match_density_path_on_party_scopes(qubits):
     target = TargetState.random(np.random.default_rng(5))
     grid = [0.3, 0.85]
     for kind in NoiseKind:
-        blocks = branch_blocks(target, kind, grid, qubits)
+        blocks = stacked_blocks(target, [kraus_operators(kind, grid)], qubits, EvolutionModel.EXACT)
         for i, eta in enumerate(grid):
             rho = evolved_state(NoiseSpec(kind, eta, qubits))
             for k, key in enumerate(ALL_OUTCOME_KEYS):
@@ -150,9 +149,9 @@ def test_one_point_grid_gives_the_bits_of_a_longer_grid(qubits, model):
     target = TargetState.random(np.random.default_rng(3))
     grid = np.append(np.linspace(0.0, 1.0, 11), 0.37)
     for kind in NoiseKind:
-        blocks = branch_blocks(target, kind, grid, qubits, model)
+        blocks = stacked_blocks(target, [kraus_operators(kind, grid)], qubits, model)
         for i, eta in enumerate(grid):
-            one = branch_blocks(target, kind, [eta], qubits, model)[0]
+            one = stacked_blocks(target, [kraus_operators(kind, [eta])], qubits, model)[0]
             assert one.tobytes() == blocks[i].tobytes(), (kind, eta)
 
 
@@ -168,7 +167,7 @@ def test_stacked_kinds_give_the_bits_of_one_kind_calls(qubits, model):
     assert stacked.shape == (sum(map(len, grids)), 16, 4, 4)
     start = 0
     for kind, g in zip(NoiseKind, grids):
-        one = branch_blocks(target, kind, g, qubits, model)
+        one = stacked_blocks(target, [kraus_operators(kind, g)], qubits, model)
         assert stacked[start:start + len(g)].tobytes() == one.tobytes(), kind
         start += len(g)
     # one key alone: the bits of the same key over each kind alone, and its
@@ -182,15 +181,32 @@ def test_stacked_kinds_give_the_bits_of_one_kind_calls(qubits, model):
 
 
 @pytest.mark.parametrize("model", list(EvolutionModel))
+def test_engine_checks_its_own_inputs(model):
+    # the engine applies NoiseSpec's qubit rule itself and needs at least one point
+    target = TargetState.random(np.random.default_rng(9))
+    ops = [kraus_operators(kind, [0.2, 0.7]) for kind in NoiseKind]
+    for qubits in [(8,), (0,), ()]:
+        with pytest.raises(ValueError) as info:
+            stacked_blocks(target, ops, qubits, model)
+        assert str(info.value) == f"qubits must be a non-empty subset of 1..7, got {qubits!r}"
+    raw = (7, 6, 5, 4, 3, 2, 1) if model is EvolutionModel.TRUNCATED else (3, 2, 2)
+    want = stacked_blocks(target, ops, tuple(sorted(set(raw))), model)
+    assert stacked_blocks(target, ops, raw, model).tobytes() == want.tobytes()
+    with pytest.raises(ValueError) as info:
+        stacked_blocks(target, [], ALL_QUBITS, model)
+    assert str(info.value) == "etas must hold at least one value"
+
+
+@pytest.mark.parametrize("model", list(EvolutionModel))
 def test_one_call_peaks_below_a_megabyte(model):
     # eleven points of the largest Kraus set, after a first call has
     # built the cached channel and recovery gates
     target = TargetState.random(np.random.default_rng(4))
     grid = np.linspace(0.0, 1.0, 11)
-    branch_blocks(target, NoiseKind.DEPOLARIZING, grid, ALL_QUBITS, model)
+    stacked_blocks(target, [kraus_operators(NoiseKind.DEPOLARIZING, grid)], ALL_QUBITS, model)
     tracemalloc.start()
     try:
-        branch_blocks(target, NoiseKind.DEPOLARIZING, grid, ALL_QUBITS, model)
+        stacked_blocks(target, [kraus_operators(NoiseKind.DEPOLARIZING, grid)], ALL_QUBITS, model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

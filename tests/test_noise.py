@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rsp7 import channel, linalg, noise
-from rsp7.analysis import SweepConfig
+from rsp7.analysis import SweepConfig, noisy_rsp_output
 from rsp7.linalg import apply_to_qubits, ket, pure_density
 from rsp7.noise import (
     TRANSMITTED_QUBITS,
@@ -17,7 +17,6 @@ from rsp7.noise import (
     apply_noise,
     evolved_state,
     kraus_operators,
-    noisy_rsp_output,
     trajectory_estimate,
     truncated_channel_state,
 )
@@ -101,7 +100,8 @@ def test_exact_engine_rejects_kraus_rows_with_two_entries(monkeypatch):
     monkeypatch.setattr(noise, "kraus_operators",
                         lambda kind, eta: tilt @ build(kind, eta) @ tilt.T)
     with pytest.raises(ValueError, match="two nonzero entries"):
-        noise.branch_blocks(BELL, NoiseKind.BIT_FLIP, [0.0, 0.5], (4,))
+        noise.stacked_blocks(BELL, [noise.kraus_operators(NoiseKind.BIT_FLIP, [0.0, 0.5])], (4,),
+                             EvolutionModel.EXACT)
 
 
 def test_string_tables_reject_a_non_diagonal_kraus_gram(monkeypatch):
@@ -126,12 +126,13 @@ def test_string_tables_reject_a_non_diagonal_kraus_gram(monkeypatch):
                  "eta must lie in [0, 1], got 1.2", id="above-one"),
     pytest.param(NoiseKind.PHASE_DAMPING, [0.1, 0.2, float("nan")], ValueError,
                  "eta must lie in [0, 1], got nan", id="nan"),
-    pytest.param("bit_flip", [0.5], TypeError, "kind must be a NoiseKind, got 'bit_flip'",
-                 id="kind"),
+    pytest.param("bit_flip", [0.5], TypeError, "unknown noise kind 'bit_flip'", id="kind"),
 ])
 def test_branch_blocks_rejects_bad_grids(kind, etas, error, message):
+    # the engine on one kind's grid, the stack it gets from kraus_operators
     with pytest.raises(error) as info:
-        noise.branch_blocks(BELL, kind, etas)
+        noise.stacked_blocks(BELL, [noise.kraus_operators(kind, etas)], noise.ALL_QUBITS,
+                             EvolutionModel.EXACT)
     assert str(info.value) == message
 
 

@@ -5,10 +5,13 @@ exported in ``rsp7.__all__``, read somewhere in ``src/`` other than its
 own definition, or named by the benchmark harness in ``bench/*.py``
 (which wraps library attributes by name).  A field of a dataclass counts
 as used when some code in ``src/``, ``tests/`` or ``bench/*.py`` reads it
-as an attribute.  That guard matches field names, not owners: a read of
-another class's field of the same name also counts.  A definition with
-none of these users is dead code and should be deleted.  The export list
-itself must name every public name ``rsp7/__init__.py`` imports.
+as an attribute of its own class.  ``x.field`` is resolved to an owner
+within its innermost function, from a parameter annotation of ``x`` or
+an assignment of ``x`` from a call whose class or return annotation is
+known; a read it cannot resolve counts for every owner of the name.  A
+definition with none of these users is dead code and should be deleted.
+The export list itself must name every public name ``rsp7/__init__.py``
+imports.
 """
 
 import ast
@@ -16,7 +19,7 @@ import os
 import re
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import rsp7
@@ -77,19 +80,65 @@ def _dataclass_fields(tree):
                     yield node.name, stmt.target.id
 
 
+def _class_name(node):
+    """The class a name, a dotted name or a string annotation names, else None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _classes_made(trees):
+    """Callable name -> the class its result has, for each class and each
+    function whose definitions agree on one return annotation."""
+    found = defaultdict(set)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                found[node.name].add(node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found[node.name].add(_class_name(node.returns))
+    return {name: classes.pop() for name, classes in found.items() if len(classes) == 1}
+
+
+def _field_reads(tree, made):
+    """(owner, field) of each attribute read; the owner is None when the
+    binding of the read's name in its innermost function does not tell it."""
+    scopes = defaultdict(list)  # innermost function or module -> [(node, parent)]
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = child if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                ast.Lambda)) else scope
+            scopes[inner].append((child, node))
+            walk(child, inner)
+
+    walk(tree, tree)
+    for pairs in scopes.values():
+        bound = defaultdict(set)
+        for node, parent in pairs:
+            if isinstance(node, ast.arg):
+                bound[node.arg].add(_class_name(node.annotation))
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+                assigned = isinstance(parent, ast.Assign) and parent.targets == [node]
+                call = parent.value if assigned and isinstance(parent.value, ast.Call) else None
+                bound[node.id].add(call and made.get(_class_name(call.func)))
+        for node, _ in pairs:
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                owners = bound.get(getattr(node.value, "id", None), {None})
+                yield (next(iter(owners)) if len(owners) == 1 else None), node.attr
+
+
 def test_every_dataclass_field_is_read():
+    # this file's own ``ast`` reads, ``node.target`` among them, are not users
     paths = [*SRC.glob("*.py"), *TESTS.glob("*.py"), *BENCH.glob("*.py")]
-    read = {
-        node.attr
-        for path in paths
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
+    trees = [ast.parse(path.read_text()) for path in paths if path.name != "test_package.py"]
+    made = _classes_made(trees)
+    read = {pair for tree in trees for pair in _field_reads(tree, made)}
     unread = [
         f"{path.stem}.{cls}.{name}"
         for path in sorted(SRC.glob("*.py"))
         for cls, name in _dataclass_fields(ast.parse(path.read_text()))
-        if name not in read
+        if (cls, name) not in read and (None, name) not in read
     ]
     assert unread == []
 
