@@ -454,8 +454,11 @@ def outside_attack_sim(
     # born[m, o, p, i] = |<basis_m, outcome o | basis_p, state i>|^2
     born = np.abs(np.einsum("moa,pia->mopi", DECOY_BASES.conj(), DECOY_BASES)) ** 2
     prep_basis, prep_bit, eve_basis = np.unravel_index(np.arange(8), (2, 2, 2))
-    eve1 = born[eve_basis, 1, prep_basis, prep_bit]
+    eve1 = np.repeat(born[eve_basis, 1, prep_basis, prep_bit], 2)  # read at 2 c
     wrong = born[prep_basis[:, None], 1 - prep_bit[:, None], eve_basis[:, None], [0, 1]].ravel()
+    # rng.integers(8, dtype=np.uint8) is a random byte's top three bits, so
+    # (byte >> 4) & 14 is 2 c on the same stream; 12 clears the attacker basis
+    mask = 12 if strategy is OutsideStrategy.MEASURE_RESEND else 14
     per_chunk = max(1, _OUTSIDE_CELLS // n_decoys)  # trials
     # shared by all chunks: arrays made afresh per chunk page-fault on every chunk
     size = min(n_decoys, _OUTSIDE_CELLS) * per_chunk
@@ -468,12 +471,10 @@ def outside_attack_sim(
         for row in range(0, n_decoys, _OUTSIDE_CELLS):  # one slab unless n_decoys > cells
             shape = (min(_OUTSIDE_CELLS, n_decoys - row), hit.size)
             c, u, p = (b[: shape[0] * shape[1]].reshape(shape) for b in (codes, uniforms, probs))
-            c[...] = rng.integers(8, size=shape, dtype=np.uint8)  # intp gathers faster
-            if strategy is OutsideStrategy.MEASURE_RESEND:
-                c &= 6
+            byte = np.frombuffer(rng.bytes(c.size), np.uint8).reshape(shape)
+            np.bitwise_and(byte >> 4, mask, out=c)  # intp gathers faster
             # mode="clip" writes to out directly; every code is in range
             eve_out = rng.random(out=u) < eve1.take(c, out=p, mode="clip")
-            c <<= 1
             c += eve_out
             hit |= np.logical_or.reduce(rng.random(out=u) < wrong.take(c, out=p, mode="clip"),
                                         axis=0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import math
 import os
 import re
@@ -69,18 +70,25 @@ class UsageError(Exception):
 
 def write_sweep_csv(out: TextIO, config: SweepConfig,
                     cells: dict[EvolutionModel, np.ndarray]) -> None:
-    """One line per (kind, eta) of ``config``, the cells of ``fidelity_sweep``."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    """One line per (kind, eta) of ``config``, the cells of ``fidelity_sweep``.
+
+    The header and the target/branch label pass through ``csv.writer``, which
+    quotes a label such as U1,00,00; no other field needs quoting.
+    """
     t = config.target
     label = [_fmt(x) for x in (t.alpha.real, t.alpha.imag, t.beta.real, t.beta.imag)]
     label.append("averaged" if config.branch is None else config.branch.label())
+    quoted = io.StringIO()
+    csv.writer(quoted, lineterminator="\n").writerows([CSV_HEADER, label])
+    header, fields = quoted.getvalue().splitlines()
     etas = [_fmt(eta) for eta in config.etas().tolist()]
+    rows = [header + "\n"]
     for i, kind in enumerate(config.kinds):
-        columns = [cells[m][i].tolist() if m in cells else [None] * len(etas)
-                   for m in EvolutionModel]
-        writer.writerows([kind.value, eta, *label, *map(_cell, values)]
-                         for eta, *values in zip(etas, *columns))
+        exact, truncated = (map(_cell, cells[m][i].tolist() if m in cells else [None] * len(etas))
+                            for m in EvolutionModel)
+        name = kind.value
+        rows += [f"{name},{eta},{fields},{e},{tr}\n" for eta, e, tr in zip(etas, exact, truncated)]
+    out.write("".join(rows))
 
 
 def _cell(value: Optional[float]) -> str:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -120,6 +121,24 @@ _P0.setflags(write=False)
 _P1.setflags(write=False)
 
 
+@lru_cache(maxsize=1)
+def _kraus_table() -> dict[NoiseKind, tuple[np.ndarray, tuple[int, ...]]]:
+    """Each kind's Kraus matrices, read-only, and the root of eta that weighs
+    each: 0 is sqrt(1 - eta), 1 is sqrt(eta) and 2 is sqrt(eta / 3)."""
+    table = {
+        NoiseKind.BIT_FLIP: (np.array([I2, X]), (0, 1)),
+        NoiseKind.PHASE_FLIP: (np.array([I2, Z]), (0, 1)),
+        NoiseKind.BIT_PHASE_FLIP: (np.array([I2, Y]), (0, 1)),
+        # |0><0| + sqrt(1 - eta) |1><1| and sqrt(eta) |0><1|; kraus_operators sets the |0><0|
+        NoiseKind.AMPLITUDE_DAMPING: (np.array([_P1, _P0 @ X]), (0, 1)),
+        NoiseKind.PHASE_DAMPING: (np.array([I2, _P0, _P1]), (0, 1, 1)),
+        NoiseKind.DEPOLARIZING: (np.array([I2, X, Y, Z]), (0, 2, 2, 2)),
+    }
+    for mats, _ in table.values():
+        mats.setflags(write=False)
+    return table
+
+
 def kraus_operators(kind: NoiseKind, eta) -> np.ndarray:
     """The 2x2 operator set of one noise kind at strength eta.
 
@@ -133,24 +152,17 @@ def kraus_operators(kind: NoiseKind, eta) -> np.ndarray:
     bad = ~((0.0 <= eta) & (eta <= 1.0))  # also catches NaN
     if bad.any():
         raise ValueError(f"eta must lie in [0, 1], got {float(eta[bad][0])!r}")
-    keep = np.sqrt(1.0 - eta)[..., None, None]
-    flip = np.sqrt(eta)[..., None, None]
-    if kind is NoiseKind.BIT_FLIP:
-        ops = (keep * I2, flip * X)
-    elif kind is NoiseKind.PHASE_FLIP:
-        ops = (keep * I2, flip * Z)
-    elif kind is NoiseKind.BIT_PHASE_FLIP:
-        ops = (keep * I2, flip * Y)
-    elif kind is NoiseKind.AMPLITUDE_DAMPING:
-        ops = (_P0 + keep * _P1, flip * (_P0 @ X))  # sqrt(eta) |0><1|
-    elif kind is NoiseKind.PHASE_DAMPING:
-        ops = (keep * I2, flip * _P0, flip * _P1)
-    elif kind is NoiseKind.DEPOLARIZING:
-        w = np.sqrt(eta / 3.0)[..., None, None]
-        ops = (keep * I2, w * X, w * Y, w * Z)
-    else:
-        raise TypeError(f"unknown noise kind {kind!r}")
-    out = np.stack(ops, axis=-3)
+    try:
+        mats, roots = _kraus_table()[kind]
+    except (KeyError, TypeError):
+        raise TypeError(f"unknown noise kind {kind!r}") from None
+    w = np.empty(eta.shape + (3,))
+    w[..., 0] = 1.0 - eta
+    w[..., 1] = eta
+    w[..., 2] = eta / 3.0
+    out = np.sqrt(w, out=w).take(roots, axis=-1)[..., None, None] * mats
+    if kind is NoiseKind.AMPLITUDE_DAMPING:
+        out[..., 0, 0, 0] = 1.0
     out.setflags(write=False)
     return out
 
@@ -250,6 +262,28 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (out.shape[-4] * out.shape[-3], -1))
 
 
+@lru_cache(maxsize=1)
+def _engine_tables() -> tuple[np.ndarray, ...]:
+    """The fixed tables of ``stacked_blocks``, built once per process, read-only.
+
+    W = party_layout(Psi); its sender outer products vec(W[s', g] W[s, g]^dagger)
+    per pattern g; the two index arrays that gather the pair superoperator's
+    factors from the superoperators of qubits 2 and 3; the recovery
+    superoperators (G_k (x) G_k*)^T of ALL_OUTCOME_KEYS.
+    """
+    w = channel.party_layout(channel.build_channel())
+    outer = np.einsum("tgb,sgc->stgbc", w, w.conj()).reshape(4, 256)
+    # pair entry (r2 r3 c2 c3, r2' r3' c2' c3') is s2[r2 c2, r2' c2'] s3[r3 c3, r3' c3']
+    r = np.arange(16)
+    i2, i3 = (r >> 2 & 2) | (r >> 1 & 1), (r >> 1 & 2) | (r & 1)
+    gates = np.array([rule.matrix for rule in table_report()])
+    tables = (w, outer, (4 * i2[:, None] + i2).ravel(), (4 * i3[:, None] + i3).ravel(),
+              _kron(gates, gates.conj()).swapaxes(-1, -2))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def stacked_blocks(
     target: TargetState,
     ops: Sequence[np.ndarray],
@@ -286,13 +320,17 @@ def stacked_blocks(
     ends with its recovery gates G_k.
     """
     qubits = noisy_qubits(qubits)
+    for o in ops:
+        if np.ndim(o) != 4 or np.shape(o)[-2:] != (2, 2):
+            raise ValueError(f"each Kraus stack must have shape (points, n_ops, 2, 2), "
+                             f"got {np.shape(o)}")
     if not sum(map(len, ops)):
         raise ValueError("etas must hold at least one value")
     # indices into ALL_OUTCOME_KEYS, one row per sender outcome
     grid = np.arange(16).reshape(2, 8) if key is None else np.array([[ALL_OUTCOME_KEYS.index(key)]])
     keys = grid.ravel()
     senders = alice_basis(target)
-    w = channel.party_layout(channel.build_channel())
+    w, outer, take2, take3, recovery = _engine_tables()
     if model is EvolutionModel.EXACT:
         sup = np.concatenate([_kron(o, o.conj()).sum(axis=1) for o in ops])
         if np.any(sup[:, ::3, 1:3] != 0):  # conj vec(N^dagger(|o><o|)), o = 0, 1
@@ -303,14 +341,10 @@ def stacked_blocks(
         c, d = np.divmod(_HELPER[grid], 4)
         rows = (tc[:, c, :, None] * td[:, d, None, :]).reshape(-1, *grid.shape, 16)  # T[h_k, :]
         proj = (senders[:, :, None] * senders[:, None].conj()).reshape(2, 4)  # vec(|u_a><u_a|)
-        outer = np.einsum("tgb,sgc->stgbc", w, w.conj()).reshape(4, 256)
         z = proj[_SENDER[grid[:, 0]]] @ chan[1].conj() @ outer  # (point, sender, pattern vec)
         blocks = (rows @ z.reshape(-1, len(grid), 16, 16)).reshape(-1, len(keys), 16)
-        # pair entry (r2 r3 c2 c3, r2' r3' c2' c3') is s2[r2 c2, r2' c2'] s3[r3 c3, r3' c3']
-        r = np.arange(16)
-        i2, i3 = (r >> 2 & 2) | (r >> 1 & 1), (r >> 1 & 2) | (r & 1)
-        pair = (chan[2].reshape(-1, 16).take((4 * i2[:, None] + i2).ravel(), axis=1)
-                * chan[3].reshape(-1, 16).take((4 * i3[:, None] + i3).ravel(), axis=1))
+        pair = (chan[2].reshape(-1, 16).take(take2, axis=1)
+                * chan[3].reshape(-1, 16).take(take3, axis=1))
         blocks = blocks @ pair.reshape(-1, 16, 16).swapaxes(-1, -2)
     elif model is EvolutionModel.TRUNCATED:
         require_all_seven(qubits)
@@ -327,8 +361,7 @@ def stacked_blocks(
         blocks = np.concatenate(parts)
     else:
         raise TypeError(f"unknown evolution model {model!r}")
-    gates = np.array([table_report()[k].matrix for k in keys])
-    out = blocks[:, :, None] @ _kron(gates, gates.conj()).swapaxes(-1, -2)
+    out = blocks[:, :, None] @ recovery[keys]
     out = out.reshape(-1, len(keys), 4, 4)
     out.setflags(write=False)
     return out

@@ -561,6 +561,15 @@ def test_outside_sim_stream_is_pinned(decoys, strategy, trials, seed, p_hat, se)
     assert (est.probability, est.std_error, est.n_trials) == (p_hat, se, trials)
 
 
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 65530, 65536, 100001])
+def test_outside_sim_code_draw_is_a_byte_top_three_bits(n):
+    # outside_attack_sim draws its codes as bytes: same values, same later stream
+    a, b = np.random.default_rng(n), np.random.default_rng(n)
+    codes = a.integers(8, size=n, dtype=np.uint8)
+    assert np.array_equal(np.frombuffer(b.bytes(n), np.uint8) >> 5, codes)
+    assert np.array_equal(a.random(9), b.random(9))
+
+
 def _outside_peak(decoys, trials):
     tracemalloc.start()
     try:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import importlib.util
 import io
 import math
@@ -242,14 +243,21 @@ def test_sweep_branch_with_error_marker(tmp_path, capsys):
 
 
 def test_sweep_cell_prints_a_vanishing_fidelity_without_sign():
-    # bit-phase flip at eta = 1 on a forced branch can leave -1e-17
+    # bit-phase flip at eta = 1 on a forced branch can leave -1e-17; next to
+    # an impossible cell, under a label with commas, with no truncated column
     config = SweepConfig(kinds=(NoiseKind.BIT_PHASE_FLIP,), target=TargetState(0.6, 0.8),
-                         eta_start=1.0, eta_steps=3, models=(EvolutionModel.EXACT,),
+                         eta_start=1.0, eta_steps=4, models=(EvolutionModel.EXACT,),
                          branch=OutcomeKey(1, "00", "10"))
     out = io.StringIO()
-    cli.write_sweep_csv(out, config, {EvolutionModel.EXACT: np.array([[-2.6e-17, -0.0, 0.0]])})
-    cells = [line.split(",")[-2] for line in out.getvalue().splitlines()[1:]]
-    assert cells == ["0.000000000000"] * 3
+    cli.write_sweep_csv(out, config,
+                        {EvolutionModel.EXACT: np.array([[-2.6e-17, -0.0, 0.0, math.nan]])})
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(cli.CSV_HEADER)
+    label = ["0.600000000000", "0.000000000000", "0.800000000000", "0.000000000000", "U1,00,10"]
+    writer.writerows(["bit_phase_flip", "1.000000000000", *label, cell, ""]
+                     for cell in ["0.000000000000"] * 3 + ["impossible-branch"])
+    assert out.getvalue() == want.getvalue()
 
 
 def test_sweep_unwritable_path(tmp_path, capsys, monkeypatch):

@@ -198,6 +198,16 @@ def test_engine_checks_its_own_inputs(model):
 
 
 @pytest.mark.parametrize("model", list(EvolutionModel))
+def test_engine_names_a_kraus_set_without_a_point_axis(model):
+    # a scalar-eta set, (n_ops, 2, 2), is a stack without its point axis
+    target = TargetState.random(np.random.default_rng(9))
+    with pytest.raises(ValueError) as info:
+        stacked_blocks(target, [kraus_operators(NoiseKind.BIT_FLIP, 0.3)], ALL_QUBITS, model)
+    assert str(info.value) == ("each Kraus stack must have shape (points, n_ops, 2, 2), "
+                               "got (2, 2, 2)")
+
+
+@pytest.mark.parametrize("model", list(EvolutionModel))
 def test_one_call_peaks_below_a_megabyte(model):
     # eleven points of the largest Kraus set, after a first call has
     # built the cached channel and recovery gates

@@ -15,12 +15,18 @@ imports.
 """
 
 import ast
+import dataclasses
+import importlib
+import inspect
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 from collections import Counter, defaultdict
 from pathlib import Path
+
+import numpy as np
 
 import rsp7
 
@@ -179,6 +185,38 @@ def test_import_builds_no_cached_tables():
     assert ["rsp7.protocol", "table_report", "0"] in tables
     assert ["rsp7.cli", "build_parser", "0"] in tables
     assert [t for t in tables if t[2] != "0"] == []
+
+
+def _arrays(value):
+    """Every ndarray in a value, through tuples, lists, dicts and dataclasses."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name))
+
+
+def test_cached_builders_return_read_only_arrays():
+    # every later call shares a cached table, so a writable one could corrupt them all
+    modules = {info.name: importlib.import_module(f"rsp7.{info.name}")
+               for info in pkgutil.iter_modules(rsp7.__path__)}
+    builders = {
+        f"{name}.{attr}": value
+        for name, module in sorted(modules.items())
+        for attr, value in sorted(vars(module).items())
+        if hasattr(value, "cache_info") and not inspect.signature(value).parameters
+    }
+    assert {"channel.build_channel", "protocol.table_report", "noise._engine_tables",
+            "cli.build_parser"} <= set(builders)
+    writable = [name for name, build in builders.items()
+                if any(a.flags.writeable for a in _arrays(build()))]
+    assert writable == []
 
 
 def test_readme_library_sketch_runs():
