@@ -258,7 +258,10 @@ def _resolve_target(opts: _Options) -> TargetState:
     beta = complex(b_re, opts.get("beta-im", float, 0.0))
     if not all(math.isfinite(x) for x in (alpha.real, alpha.imag, beta.real, beta.imag)):
         raise UsageError(f"amplitudes must be finite, got alpha={alpha}, beta={beta}")
-    norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+    try:
+        norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+    except OverflowError:  # a square beyond the largest float
+        norm = math.inf
     if abs(norm - 1.0) > _TARGET_NORM_SLACK:
         raise UsageError(
             f"|alpha|^2 + |beta|^2 = {norm ** 2:.9f}; amplitudes must be "

@@ -13,9 +13,9 @@ does not map its collapsed state to the target.  ``table_report`` audits
 the printed rows by position against the channel's own collapsed states:
 row i belongs to ``ALL_OUTCOME_KEYS[i]``.  A row whose label names an
 impossible helper pattern is re-keyed to its key, and a gate list that
-fails on that key's states is replaced by the shortest working sequence
-found by breadth-first search over the published gate alphabet.  The
-printed receiver-state columns are audited once, by
+fails on that key's states is replaced by the key's Pauli-frame gates:
+``CX12 H1`` followed by Z1, X1 and X2, each set by one parity of the
+broadcast bits.  The printed receiver-state columns are audited once, by
 ``channel.verify_factorization``.
 """
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence, Union
@@ -45,7 +44,7 @@ _BASIS_TOL = 1e-10
 MIN_BRANCH_PROBABILITY = 1e-14
 #: ``run_rsp`` reads a receiver pair of smaller norm as an empty branch.
 _EMPTY_NORM = 1e-12
-#: Smallest amplitude ``_pair_defect`` and ``_canon`` take as a phase reference.
+#: Smallest amplitude ``_pair_defect`` takes as a phase reference.
 _PHASE_FLOOR = 1e-9
 #: Largest ``_sequence_defect`` of a gate list that counts as a correct recovery.
 GATE_TOL = 1e-10
@@ -90,7 +89,10 @@ class TargetState:
         object.__setattr__(self, "beta", b)
         if not np.isfinite([a, b]).all():
             raise ValueError(f"amplitudes must be finite, got alpha={a!r}, beta={b!r}")
-        norm = abs(a) ** 2 + abs(b) ** 2
+        try:
+            norm = abs(a) ** 2 + abs(b) ** 2
+        except OverflowError:  # a square beyond the largest float
+            norm = math.inf
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"|alpha|^2 + |beta|^2 = {norm!r} is not 1 within {_NORM_TOL}")
         # <u1|u2> = conj(alpha) (-beta) + conj(beta) alpha
@@ -207,9 +209,6 @@ _PRINTED_ROWS = (
     (2, "11", "11", ("CX12", "H1", "Z1")),
 )
 
-_MAX_REPAIR_LENGTH = 6
-
-
 @dataclass(frozen=True)
 class RecoveryRule:
     """Verified receiver gate sequence for one outcome key, with its audit."""
@@ -260,41 +259,13 @@ def _sequence_defect(gates: Sequence[str], blocks: np.ndarray) -> float:
     return _pair_defect(g @ blocks[0], g @ blocks[1])
 
 
-def _canon(w0: np.ndarray, w1: np.ndarray) -> tuple:
-    both = np.concatenate([w0, w1])
-    for v in both:
-        if abs(v) > _PHASE_FLOOR:
-            both = both * (np.conj(v) / abs(v))
-            break
-    return tuple(np.round(both, 9).tolist())
-
-
-def _search_sequence(blocks: np.ndarray) -> tuple[str, ...]:
-    """Shortest gate sequence mapping the branch blocks onto the target.
-
-    Breadth-first over the gate alphabet with dedup up to global phase;
-    ties resolve to the first sequence in alphabet order, so the result
-    is deterministic.
-    """
-    start = (blocks[0], blocks[1])
-    if _pair_defect(*start) <= GATE_TOL:
-        return ()
-    seen = {_canon(*start)}
-    queue = deque([((), start)])
-    while queue:
-        gates, (w0, w1) = queue.popleft()
-        if len(gates) >= _MAX_REPAIR_LENGTH:
-            continue
-        for tok, m in GATE_MATRICES.items():
-            nxt = (m @ w0, m @ w1)
-            cand = gates + (tok,)
-            if _pair_defect(*nxt) <= GATE_TOL:
-                return cand
-            sig = _canon(*nxt)
-            if sig not in seen:
-                seen.add(sig)
-                queue.append((cand, nxt))
-    raise RuntimeError("no recovery sequence found within the search depth")
+def _frame_gates(key: OutcomeKey) -> tuple[str, ...]:
+    """``CX12 H1`` then the Pauli frame Z1^(1+a+c1) X1^(a+d1) X2^(a+c1+c2+d1)
+    (sums mod 2, a = sender outcome - 1): a correct recovery of every key,
+    up to a global phase and Z1Z2, which fixes |00> and |11>."""
+    a, (c1, c2), d1 = key.alice - 1, map(int, key.charlie), int(key.david[0])
+    bits = (1 ^ a ^ c1, a ^ d1, a ^ c1 ^ c2 ^ d1)
+    return ("CX12", "H1") + tuple(g for g, bit in zip(("Z1", "X1", "X2"), bits) if bit)
 
 
 @lru_cache(maxsize=1)
@@ -308,7 +279,7 @@ def table_report() -> tuple[RecoveryRule, ...]:
             raise RuntimeError(f"printed row U{alice},{c},{d} stands where {key.label()} belongs")
         blocks = basis[:, key.outcome_index]
         defect = _sequence_defect(printed, blocks)
-        gates = printed if defect <= GATE_TOL else _search_sequence(blocks)
+        gates = printed if defect <= GATE_TOL else _frame_gates(key)
         rules.append(
             RecoveryRule(
                 key=key,

@@ -127,6 +127,7 @@ def test_run_exits_zero_or_two_on_any_target(t, phase, relative, scale):
 SEED_MESSAGE = "--seed must be a non-negative integer"
 RELATIVE_PHASE_MESSAGE = ("sender basis is not orthonormal: alpha and beta must be real "
                           "up to one shared global phase")
+OVERFLOW_MESSAGE = "|alpha|^2 + |beta|^2 = inf; amplitudes must be normalized to within 1e-06"
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -159,6 +160,10 @@ RELATIVE_PHASE_MESSAGE = ("sender basis is not orthonormal: alpha and beta must 
     pytest.param(["sweep", "--alpha", "0.28", "--beta", "0", "--beta-im", "0.96",
                   "--out", "{tmp}/never.csv"], 2, RELATIVE_PHASE_MESSAGE,
                  id="sweep-relative-phase"),
+    pytest.param(["run", "--alpha", "1e200", "--beta", "0", "--seed", "1"], 2, OVERFLOW_MESSAGE,
+                 id="run-norm-overflows"),
+    pytest.param(["sweep", "--alpha", "1e155", "--beta", "1e155", "--out", "{tmp}/never.csv"],
+                 2, OVERFLOW_MESSAGE, id="sweep-norm-overflows"),
     pytest.param(["sweep", "--alpha", "0.6", "--beta", "0.8", "--noise", "bit_flip,bit_flip",
                   "--steps", "2", "--out", "{tmp}/never.csv"], 2, "kinds must not repeat",
                  id="sweep-repeated-kind"),

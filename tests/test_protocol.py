@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import math
 from pathlib import Path
 
@@ -35,8 +36,10 @@ SQ2 = 1.0 / math.sqrt(2.0)
 
 def test_target_state_validation():
     TargetState(0.6, 0.8)
-    with pytest.raises(ValueError):
-        TargetState(0.6, 0.9)
+    # 1e200 is finite, but its square is beyond the largest float
+    for alpha, beta in ((0.6, 0.9), (1e200, 0.0)):
+        with pytest.raises(ValueError, match="is not 1 within"):
+            TargetState(alpha, beta)
 
 
 def test_target_state_rejects_non_finite_amplitudes():
@@ -215,6 +218,59 @@ def test_printed_row_naming_another_key_is_rejected(monkeypatch):
     try:
         with pytest.raises(RuntimeError, match="U1,11,11 stands where U1,01,11 belongs"):
             table_report()
+    finally:
+        table_report.cache_clear()
+
+
+#: The keys whose rule is the frame times Z1Z2, the identity on span{|00>, |11>}.
+_Z1Z2_KEYS = {OutcomeKey(1, "10", "00"), OutcomeKey(1, "01", "11"),
+              OutcomeKey(2, "01", "01"), OutcomeKey(2, "01", "11")}
+
+
+def test_rules_are_the_pauli_frame():
+    z1z2 = gate_matrix("Z1") @ gate_matrix("Z2")
+    basis = protocol._basis_blocks()
+    for rule in table_report():
+        frame = protocol._compose(protocol._frame_gates(rule.key))
+        if rule.key in _Z1Z2_KEYS:
+            frame = z1z2 @ frame
+        phase = np.vdot(frame, rule.matrix) / 4.0
+        assert abs(abs(phase) - 1.0) <= 1e-12, rule.key.label()
+        assert np.max(np.abs(rule.matrix - phase * frame)) <= 1e-12, rule.key.label()
+        # c2 = d2 on every supported pattern, so the X2 bit may read d2 instead
+        a, c1 = rule.key.alice - 1, int(rule.key.charlie[0])
+        d1, d2 = map(int, rule.key.david)
+        bits = (1 ^ a ^ c1, a ^ d1, a ^ c1 ^ d2 ^ d1)
+        variant = ("CX12", "H1") + tuple(g for g, bit in zip(("Z1", "X1", "X2"), bits) if bit)
+        blocks = basis[:, rule.key.outcome_index]
+        for gates in (protocol._frame_gates(rule.key), variant):
+            assert protocol._sequence_defect(gates, blocks) <= protocol.GATE_TOL, rule.key.label()
+
+
+def test_no_shorter_sequence_repairs_the_broken_row():
+    # the discrepancy report calls the frame's CX12 H1 X1 the shortest working sequence
+    key = OutcomeKey(1, "10", "10")
+    blocks = protocol._basis_blocks()[:, key.outcome_index]
+    alphabet = list(protocol.GATE_MATRICES)
+    short = [seq for n in range(3) for seq in itertools.product(alphabet, repeat=n)]
+    assert len(short) == 73
+    assert all(protocol._sequence_defect(seq, blocks) > protocol.GATE_TOL for seq in short)
+    assert protocol._frame_gates(key) == ("CX12", "H1", "X1")
+    assert protocol._sequence_defect(protocol._frame_gates(key), blocks) <= protocol.GATE_TOL
+
+
+def test_frame_repairs_any_broken_row(monkeypatch):
+    # row 8 (U2,00,00) verifies as printed; without its Paulis it fails
+    rows = list(protocol._PRINTED_ROWS)
+    rows[8] = (2, "00", "00", ("CX12", "H1"))
+    monkeypatch.setattr(protocol, "_PRINTED_ROWS", tuple(rows))
+    table_report.cache_clear()
+    try:
+        rule = table_report()[8]
+        assert rule.key == OutcomeKey(2, "00", "00")
+        assert rule.status == "repaired"
+        assert rule.gates == ("CX12", "H1", "X1", "X2")
+        assert rule.gate_defect <= protocol.GATE_TOL
     finally:
         table_report.cache_clear()
 
