@@ -97,6 +97,10 @@ class SweepConfig:
         if len(set(kinds)) != len(kinds):
             raise ValueError("kinds must not repeat")
         object.__setattr__(self, "kinds", tuple(sorted(kinds, key=lambda k: k.value)))
+        if not isinstance(self.target, TargetState):
+            raise ValueError(f"target must be a TargetState, got {self.target!r}")
+        if self.branch is not None and self.branch not in ALL_OUTCOME_KEYS:
+            raise ValueError(f"branch must be None or one of ALL_OUTCOME_KEYS, got {self.branch!r}")
         if not 0.0 <= self.eta_start <= self.eta_end <= 1.0:
             raise ValueError(
                 f"eta grid must satisfy 0 <= start <= end <= 1, got "

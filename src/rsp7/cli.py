@@ -169,9 +169,9 @@ def load_config_file(path: str, known: Collection[str]) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as f:
             # bounded reads: a path such as /dev/zero never ends a line
-            lines = iter(lambda: f.readline(_MAX_CONFIG_LINE), "")
+            lines = iter(lambda: f.readline(_MAX_CONFIG_LINE + 1), "")
             for lineno, raw in enumerate(lines, 1):
-                if len(raw) == _MAX_CONFIG_LINE and not raw.endswith("\n"):
+                if len(raw) > _MAX_CONFIG_LINE and not raw.endswith("\n"):
                     raise UsageError(
                         f"{path}:{lineno}: line longer than {_MAX_CONFIG_LINE} characters"
                     )

@@ -266,18 +266,15 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _engine_tables() -> tuple[np.ndarray, ...]:
     """The fixed tables of ``stacked_blocks``, built once per process, read-only.
 
-    W = party_layout(Psi); its sender outer products vec(W[s', g] W[s, g]^dagger)
-    per pattern g; the two index arrays that gather the pair superoperator's
-    factors from the superoperators of qubits 2 and 3; the recovery
-    superoperators (G_k (x) G_k*)^T of ALL_OUTCOME_KEYS.
+    With W = party_layout(Psi): the sender outer products
+    vec(W[s', g] W[s, g]^dagger) per pattern g, for the exact model; W by
+    pattern, shape (helper pattern, sender x pair), for the truncated model;
+    the recovery superoperators (G_k (x) G_k*)^T of ALL_OUTCOME_KEYS.
     """
     w = channel.party_layout(channel.build_channel())
     outer = np.einsum("tgb,sgc->stgbc", w, w.conj()).reshape(4, 256)
-    # pair entry (r2 r3 c2 c3, r2' r3' c2' c3') is s2[r2 c2, r2' c2'] s3[r3 c3, r3' c3']
-    r = np.arange(16)
-    i2, i3 = (r >> 2 & 2) | (r >> 1 & 1), (r >> 1 & 2) | (r & 1)
     gates = np.array([rule.matrix for rule in table_report()])
-    tables = (w, outer, (4 * i2[:, None] + i2).ravel(), (4 * i3[:, None] + i3).ravel(),
+    tables = (outer, w.transpose(1, 0, 2).reshape(16, 8),
               _kron(gates, gates.conj()).swapaxes(-1, -2))
     for table in tables:
         table.setflags(write=False)
@@ -311,7 +308,7 @@ def stacked_blocks(
     t[o, x] = sum_j |<o|E_j|x>|^2, and the helpers act as the bit channel
     T = t (x) t (x) t (x) t on their pattern.  Block k is
     sum_g T[h_k, g] sum_{s,s'} D_a[s, s'] W[s', g] W[s, g]^dagger, with D_a
-    the sender's dual projector, then the pair's forward channel.
+    the sender's dual projector, then the pair's forward channel, s2 (x) s3 reordered.
 
     Truncated model, one pass per kind: the uniform-index vectors are
     read in the layout, <u_a|E_j on the sender, E_j^(x4) on the helpers and
@@ -330,7 +327,7 @@ def stacked_blocks(
     grid = np.arange(16).reshape(2, 8) if key is None else np.array([[ALL_OUTCOME_KEYS.index(key)]])
     keys = grid.ravel()
     senders = alice_basis(target)
-    w, outer, take2, take3, recovery = _engine_tables()
+    outer, by_pattern, recovery = _engine_tables()
     if model is EvolutionModel.EXACT:
         sup = np.concatenate([_kron(o, o.conj()).sum(axis=1) for o in ops])
         if np.any(sup[:, ::3, 1:3] != 0):  # conj vec(N^dagger(|o><o|)), o = 0, 1
@@ -343,12 +340,12 @@ def stacked_blocks(
         proj = (senders[:, :, None] * senders[:, None].conj()).reshape(2, 4)  # vec(|u_a><u_a|)
         z = proj[_SENDER[grid[:, 0]]] @ chan[1].conj() @ outer  # (point, sender, pattern vec)
         blocks = (rows @ z.reshape(-1, len(grid), 16, 16)).reshape(-1, len(keys), 16)
-        pair = (chan[2].reshape(-1, 16).take(take2, axis=1)
-                * chan[3].reshape(-1, 16).take(take3, axis=1))
+        # pair entry (r2 r3 c2 c3, r2' r3' c2' c3') is s2[r2 c2, r2' c2'] s3[r3 c3, r3' c3']
+        s2, s3 = (chan[q].reshape(-1, 2, 2, 2, 2) for q in (2, 3))
+        pair = s2[:, :, None, :, None, :, None, :, None] * s3[:, None, :, None, :, None, :, None, :]
         blocks = blocks @ pair.reshape(-1, 16, 16).swapaxes(-1, -2)
     elif model is EvolutionModel.TRUNCATED:
         require_all_seven(qubits)
-        by_pattern = w.transpose(1, 0, 2).reshape(16, 8)
         parts = []
         for o in ops:
             pair = _kron(o, o)

@@ -256,6 +256,8 @@ def test_sweep_fills_exact_then_truncated_whatever_the_model_order():
     ({"models": ("exact",)}, "models must be a non-empty sequence of EvolutionModel"),
     ({"kinds": (NoiseKind.BIT_FLIP, NoiseKind.BIT_FLIP)}, "kinds must not repeat"),
     ({"eta_steps": 2.5}, "eta_steps must be an integer, got 2.5"),
+    ({"target": (0.6, 0.8)}, "target must be a TargetState, got (0.6, 0.8)"),
+    ({"branch": "U1,00,00"}, "branch must be None or one of ALL_OUTCOME_KEYS, got 'U1,00,00'"),
 ])
 def test_sweep_config_rejects_bad_settings(settings, message):
     with pytest.raises(ValueError) as info:

@@ -386,6 +386,15 @@ def test_config_file_overlong_line(tmp_path, capsys):
     assert len(err) < 500
 
 
+@pytest.mark.parametrize("length, code", [(4096, 0), (4097, 2)])
+def test_config_file_line_limit_is_inclusive(tmp_path, capsys, length, code):
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text("alpha=0.6\n" + "#" * length + "\nbeta=0.8\n")
+    got, _, err = run_cli(["run", "--config", str(cfg), "--seed", "1"], capsys)
+    assert got == code
+    assert ("edge.cfg:2: line longer than 4096 characters" in err) == (code == 2)
+
+
 @pytest.mark.parametrize("command, line, message", [
     ("sweep", "model=fancy", "unknown model 'fancy'; valid: exact, truncated, both"),
     ("sweep", "scope=everything", "unknown scope 'everything'; valid: all, transmitted"),

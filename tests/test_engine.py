@@ -126,7 +126,7 @@ def test_string_tables_match_direct_strings(qubits):
             assert abs(weights[-1][s] - np.vdot(v, v).real) <= 1e-12, (kind, s)
 
 
-@pytest.mark.parametrize("qubits", [(1,), (2, 3), (4, 6), (5, 7)])
+@pytest.mark.parametrize("qubits", [(1,), (2, 3), (4, 6), (5, 7), (2,), (3,)])
 def test_blocks_match_density_path_on_party_scopes(qubits):
     # a noiseless sender, pair or helper takes the identity from the qubit table
     target = TargetState.random(np.random.default_rng(5))
