@@ -668,17 +668,14 @@ def invariant_checks() -> tuple[InvariantCheck, ...]:
     return tuple(checks)
 
 
-def continuity_modulus(
-    target: TargetState,
-    kind: NoiseKind,
-    etas: np.ndarray,
-    model: EvolutionModel = EvolutionModel.EXACT,
-) -> float:
-    """Largest slope of the averaged fidelity between neighbouring points
-    of a strictly increasing eta grid, from one engine call over the grid."""
+def continuity_modulus(target: TargetState, kind: NoiseKind, etas: np.ndarray) -> float:
+    """Largest slope of the exact model's averaged fidelity between
+    neighbouring points of a strictly increasing eta grid, from one engine
+    call over the grid."""
     etas = np.asarray(etas, dtype=np.float64)
     if etas.ndim != 1 or len(etas) < 2 or not np.all(np.diff(etas) > 0):
         raise ValueError("etas must be a strictly increasing 1-D grid of at least two points")
     ops = [noise_mod.kraus_operators(kind, etas)]
-    f = _cells(noise_mod.stacked_blocks(target, ops, ALL_QUBITS, model), target)[0]
+    blocks = noise_mod.stacked_blocks(target, ops, ALL_QUBITS, EvolutionModel.EXACT)
+    f = _cells(blocks, target)[0]
     return float(np.max(np.abs(np.diff(f)) / np.diff(etas)))

@@ -348,6 +348,7 @@ def _cmd_sweep(opts: _Options, stdout: TextIO) -> int:
     branch = None if branch_text == "averaged" else _parse_forced_key(branch_text)
     models = _choice(opts, "model", _MODELS, "both")
     qubits = _choice(opts, "scope", _SCOPES, "all")
+    svg = opts.get("svg", bool, False)
     try:
         config = SweepConfig(
             kinds=kinds,
@@ -371,7 +372,7 @@ def _cmd_sweep(opts: _Options, stdout: TextIO) -> int:
     except OSError as e:
         raise OSError(f"cannot write {path}: {e}") from e
     print(f"wrote {len(config.kinds) * config.eta_steps} rows to {path}", file=stdout)
-    if opts.get("svg", bool, False):
+    if svg:
         svg_path = os.path.splitext(path)[0] + ".svg"
         try:
             with open(svg_path, "w", encoding="utf-8", newline="") as f:

@@ -42,8 +42,6 @@ _ORTHO_TOL = 1e-12
 _BASIS_TOL = 1e-10
 #: A branch whose probability falls below this floor counts as impossible.
 MIN_BRANCH_PROBABILITY = 1e-14
-#: ``run_rsp`` reads a receiver pair of smaller norm as an empty branch.
-_EMPTY_NORM = 1e-12
 #: Smallest amplitude ``_pair_defect`` takes as a phase reference.
 _PHASE_FLOOR = 1e-9
 #: Largest ``_sequence_defect`` of a gate list that counts as a correct recovery.
@@ -126,10 +124,11 @@ class OutcomeKey:
     david: str
 
     def __post_init__(self):
+        object.__setattr__(self, "alice", as_integer("sender outcome", self.alice))
         if self.alice not in (1, 2):
             raise ValueError(f"sender outcome must be 1 or 2, got {self.alice!r}")
         for name, bits in (("charlie", self.charlie), ("david", self.david)):
-            if len(bits) != 2 or any(c not in "01" for c in bits):
+            if not isinstance(bits, str) or len(bits) != 2 or any(c not in "01" for c in bits):
                 raise ValueError(f"{name} outcome must be two bits, got {bits!r}")
         if (self.charlie, self.david) not in channel.CORRELATED_PAIRS:
             raise ValueError(
@@ -150,6 +149,8 @@ class OutcomeKey:
 ALL_OUTCOME_KEYS: tuple[OutcomeKey, ...] = tuple(
     OutcomeKey(a, c, d) for a in (1, 2) for (c, d) in channel.CORRELATED_PAIRS
 )
+#: ``OutcomeKey.outcome_index`` -> position of that key in ALL_OUTCOME_KEYS.
+_RULE_OF_SLOT = {key.outcome_index: i for i, key in enumerate(ALL_OUTCOME_KEYS)}
 
 # Receiver gate alphabet: 4x4 matrices on the pair (B1, B2), B1 most
 # significant.  CX12 = control B1 / target B2, CX21 the reverse.
@@ -391,6 +392,7 @@ def run_rsp(
     Branches are either sampled (``seed``) or forced (``forced_key``).  A
     seed draws the sender outcome, then the helper pattern, with the two
     ``rng.choice`` calls of two successive ``measure_projective`` calls.
+    Each key has probability 1/16 for every target: no branch is impossible.
     """
     if (seed is None) == (forced_key is None):
         raise ValueError("provide exactly one of seed= or forced_key=")
@@ -403,9 +405,6 @@ def run_rsp(
         a_idx, cd_idx = divmod(forced_key.outcome_index, 16)
         p_a = float(p_sender[a_idx])
         p_cd = float(weights[a_idx, cd_idx] / p_a)
-        for outcome, p in ((a_idx, p_a), (cd_idx, p_cd)):
-            if p < MIN_BRANCH_PROBABILITY:
-                raise ImpossibleBranchError(f"forced outcome {outcome} has probability {p:.3e}", p)
     else:
         rng = np.random.default_rng(seed)
         a_idx = int(rng.choice(2, p=p_sender / p_sender.sum()))
@@ -413,19 +412,13 @@ def run_rsp(
         helper = weights[a_idx] / p_a
         cd_idx = int(rng.choice(16, p=helper / helper.sum()))
         p_cd = float(helper[cd_idx])
-    # the helper index reads as the four bits c1 c2 d1 d2
-    bits = format(cd_idx, "04b")
-    key = OutcomeKey(a_idx + 1, bits[:2], bits[2:])
-    rule = table_report()[ALL_OUTCOME_KEYS.index(key)]
+    rule = table_report()[_RULE_OF_SLOT[a_idx * 16 + cd_idx]]
     vec = rule.matrix @ amp[a_idx, cd_idx]
-    nrm = np.linalg.norm(vec)
-    if nrm < _EMPTY_NORM:
-        raise ImpossibleBranchError("empty receiver branch", float(nrm) ** 2)
-    bob = vec / nrm
+    bob = vec / np.linalg.norm(vec)
     bob.setflags(write=False)
     fid = float(abs(np.vdot(target.ket(), bob)) ** 2)
     return ProtocolTranscript(
-        outcome=key,
+        outcome=rule.key,
         branch_probability=float(p_a * p_cd),
         gates=rule.gates,
         bob_state=bob,

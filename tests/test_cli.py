@@ -170,6 +170,16 @@ OVERFLOW_MESSAGE = "|alpha|^2 + |beta|^2 = inf; amplitudes must be normalized to
     pytest.param(["sweep", "--alpha", "0.6", "--beta", "0.8", "--noise", "bit_flip,all",
                   "--steps", "2", "--out", "{tmp}/never.csv"], 2,
                  "noise kind 'all' cannot be combined with other kinds", id="sweep-all-among-kinds"),
+    pytest.param(["sweep", "--config", "{tmp}/svg.cfg", "--out", "{tmp}/never.csv"], 2,
+                 "config value svg='maybe' is invalid", id="sweep-invalid-svg-in-config"),
+    pytest.param(["sweep", "--config", "{tmp}/steps.cfg", "--out", "{tmp}/never.csv"], 2,
+                 "config value steps='abc' is invalid", id="sweep-invalid-steps-in-config"),
+    pytest.param(["run", "--alpha", "0.6", "--seed", "1"], 2,
+                 "a target requires --alpha and --beta", id="run-missing-beta"),
+    pytest.param(["security", "--mode", "outside", "--decoys", "0"], 2,
+                 "--decoys must be at least 1", id="outside-zero-decoys"),
+    pytest.param(["security", "--mode", "outside", "--trials", "0"], 2,
+                 "--trials must be at least 1", id="outside-zero-trials"),
 ])
 def test_bad_input_exits_without_traceback(tmp_path, capsys, monkeypatch, argv, code, message):
     def no_sampling(*args):
@@ -177,6 +187,8 @@ def test_bad_input_exits_without_traceback(tmp_path, capsys, monkeypatch, argv, 
 
     monkeypatch.setattr(cli.analysis, "sample_inside_attacks", no_sampling)
     (tmp_path / "seed.cfg").write_text("alpha=1\nbeta=0\nseed=-1\n")
+    (tmp_path / "svg.cfg").write_text("alpha=0.6\nbeta=0.8\nsvg=maybe\n")
+    (tmp_path / "steps.cfg").write_text("alpha=0.6\nbeta=0.8\nsteps=abc\n")
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert run_cli(argv, capsys) == (code, "", f"error: {message}\n")
     assert not (tmp_path / "never.csv").exists()
@@ -328,6 +340,20 @@ def test_sweep_svg(tmp_path, capsys):
     assert "polyline" in body
 
 
+@pytest.mark.parametrize("value, chart", [
+    ("yes", True), ("on", True), ("1", True), ("true", True), ("YES", True),
+    ("off", False), ("no", False), ("0", False), ("false", False),
+])
+def test_config_file_svg_switch(tmp_path, capsys, value, chart):
+    cfg = tmp_path / "svg.cfg"
+    cfg.write_text(f"alpha=1\nbeta=0\nnoise=bit_flip\nsteps=2\nsvg={value}\n")
+    code, out, _ = run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")],
+                           capsys)
+    assert code == 0
+    assert (tmp_path / "s.svg").exists() == chart
+    assert ("wrote chart to" in out) == chart
+
+
 # --------------------------------------------------------------------------
 # config file
 
@@ -363,8 +389,8 @@ def test_config_file_unknown_key(tmp_path, capsys):
     code, _, err = run_cli(["run", "--config", str(cfg), "--seed", "1"], capsys)
     assert code == 2
     assert "'stpes'" in err
-    # a key naming another command's flag is accepted
-    cfg.write_text("alpha=0.6\nbeta=0.8\nsteps=5\n")
+    # a key naming another command's flag is accepted, and that command alone reads it
+    cfg.write_text("alpha=0.6\nbeta=0.8\nsteps=abc\n")
     code, _, _ = run_cli(["run", "--config", str(cfg), "--seed", "1"], capsys)
     assert code == 0
 
@@ -554,12 +580,15 @@ def test_security_inside_reports_the_per_sample_attacks(capsys, seed, env_dim):
     ]
 
 
-def test_security_inside_trivial(capsys):
+def test_security_inside_trivial(tmp_path, capsys):
     code, out, _ = run_cli(["security", "--mode", "inside", "--trivial"],
                            capsys)
     assert code == 0
     assert "environment purity: 1.000000000000" in out
     assert "attack extracts no information" in out
+    cfg = tmp_path / "trivial.cfg"
+    cfg.write_text("mode=inside\ntrivial=on\n")
+    assert run_cli(["security", "--config", str(cfg)], capsys) == (0, out, "")
 
 
 def test_security_outside(capsys):

@@ -84,9 +84,27 @@ def test_outcome_key_label_roundtrip():
     assert len(ALL_OUTCOME_KEYS) == 16
 
 
-def test_outcome_key_rejects_uncorrelated_pattern():
-    with pytest.raises(ValueError):
-        OutcomeKey(1, "00", "01")
+@pytest.mark.parametrize("alice, charlie, david, message", [
+    pytest.param(1, "00", "01", "helper outcome (00, 01) is not one of the eight correlated "
+                 "patterns", id="uncorrelated-pattern"),
+    pytest.param(3, "00", "00", "sender outcome must be 1 or 2, got 3", id="sender-out-of-range"),
+    pytest.param(1.0, "00", "00", "sender outcome must be an integer, got 1.0",
+                 id="float-sender"),
+    pytest.param(1, "0", "00", "charlie outcome must be two bits, got '0'", id="short-bits"),
+    pytest.param(1, "00", "0a", "david outcome must be two bits, got '0a'", id="non-binary-bits"),
+    pytest.param(1, b"00", "00", "charlie outcome must be two bits, got b'00'", id="bytes-bits"),
+])
+def test_outcome_key_rejects_bad_fields(alice, charlie, david, message):
+    with pytest.raises(ValueError) as info:
+        OutcomeKey(alice, charlie, david)
+    assert str(info.value) == message
+
+
+def test_outcome_key_stores_the_sender_as_an_int():
+    key = OutcomeKey(np.int64(2), "00", "00")
+    assert key == ALL_OUTCOME_KEYS[8]
+    assert (type(key.alice), key.label()) == (int, "U2,00,00")
+    assert OutcomeKey(True, "00", "00").label() == "U1,00,00"
 
 
 # --------------------------------------------------------------------------
