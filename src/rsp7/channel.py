@@ -195,8 +195,6 @@ class GroupedFormReport:
     residual_corrected: float
     residual_printed: float
     printed_norm: float
-    corrected_prefactor: float = 0.25
-    printed_prefactor: float = 1.0 / 32.0
 
 
 def verify_grouped_form() -> GroupedFormReport:

@@ -9,6 +9,7 @@ problem, 3 impossible forced branch, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -51,13 +52,12 @@ ERROR_MARKER = "impossible-branch"
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.12f}"
+    # a value that rounds to zero prints unsigned: its sign is rounding noise
+    return f"{x:.12f}".replace("-0.000000000000", "0.000000000000")
 
 
 def _fmt_amplitude(z: complex) -> str:
-    # a part that rounds to zero reads +0.000000000000: its sign is rounding noise
-    parts = (f"{x:+.12f}" for x in (z.real, z.imag))
-    return "".join("+0.000000000000" if p == "-0.000000000000" else p for p in parts) + "j"
+    return "".join(p if p.startswith("-") else "+" + p for p in map(_fmt, (z.real, z.imag))) + "j"
 
 
 class UsageError(Exception):
@@ -97,8 +97,7 @@ def _cell(value: Optional[float]) -> str:
         return ""
     if math.isnan(value):
         return ERROR_MARKER
-    # a fidelity that rounds to zero reads 0.000000000000: its sign is rounding noise
-    return _fmt(value).replace("-0.000000000000", "0.000000000000")
+    return _fmt(value)
 
 
 def write_sweep_svg(out: TextIO, config: SweepConfig,
@@ -273,14 +272,6 @@ def _resolve_target(opts: _Options) -> TargetState:
         raise UsageError(str(e)) from e
 
 
-def _resolve_output_path(opts: _Options, filename: str) -> str:
-    out = opts.get("out", str)
-    if out is not None:
-        return out
-    base = opts.get("output-dir", str) or os.environ.get(OUTPUT_DIR_ENV) or "."
-    return os.path.join(base, filename)
-
-
 # ---------------------------------------------------------------------------
 # Commands.
 
@@ -363,23 +354,31 @@ def _cmd_sweep(opts: _Options, stdout: TextIO) -> int:
     except ValueError as e:
         raise UsageError(str(e)) from e
 
-    path = _resolve_output_path(opts, "sweep.csv")
-    try:
-        # opened before the grid is computed, so a bad path fails at once
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            cells = analysis.fidelity_sweep(config)
-            write_sweep_csv(f, config, cells)
-    except OSError as e:
-        raise OSError(f"cannot write {path}: {e}") from e
-    print(f"wrote {len(config.kinds) * config.eta_steps} rows to {path}", file=stdout)
+    path = opts.get("out", str)
+    if path is None:
+        base = opts.get("output-dir", str) or os.environ.get(OUTPUT_DIR_ENV) or "."
+        path = os.path.join(base, "sweep.csv")
+    outputs = [(path, write_sweep_csv, f"wrote {len(config.kinds) * config.eta_steps} rows to {path}")]
     if svg:
         svg_path = os.path.splitext(path)[0] + ".svg"
-        try:
-            with open(svg_path, "w", encoding="utf-8", newline="") as f:
-                write_sweep_svg(f, config, cells)
-        except OSError as e:
-            raise OSError(f"cannot write {svg_path}: {e}") from e
-        print(f"wrote chart to {svg_path}", file=stdout)
+        if svg_path == path:
+            raise UsageError(f"--svg would write its chart over the CSV {path}; "
+                             "give --out a path that does not end in .svg")
+        outputs.append((svg_path, write_sweep_svg, f"wrote chart to {svg_path}"))
+    try:
+        with contextlib.ExitStack() as stack:
+            # every output is opened before the grid is computed, so a bad path fails at once
+            files = []
+            for current, _, _ in outputs:
+                files.append(stack.enter_context(open(current, "w", encoding="utf-8", newline="")))
+            cells = analysis.fidelity_sweep(config)
+            for f, (current, write, _) in zip(files, outputs):
+                with f:  # closed here, so a failed flush names its own file
+                    write(f, config, cells)
+    except OSError as e:
+        raise OSError(f"cannot write {current}: {e}") from e
+    for _, _, note in outputs:
+        print(note, file=stdout)
     return EXIT_OK
 
 

@@ -134,8 +134,6 @@ def test_grouped_form_report_values():
     assert rep.residual_corrected <= 1e-12
     assert_allclose(rep.residual_printed, 0.875, atol=1e-12)
     assert_allclose(rep.printed_norm, 0.125, atol=1e-12)
-    assert_allclose(rep.corrected_prefactor, 0.25, atol=1e-15)
-    assert_allclose(rep.printed_prefactor, 1.0 / 32.0, atol=1e-15)
 
 
 def test_party_map_is_total():

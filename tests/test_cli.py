@@ -201,6 +201,67 @@ def test_argparse_failures_return_two(capsys):
     assert code == 2
 
 
+def _subcommands():
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+#: Values the fuzz below gives any option: numbers at the edges, non-numbers, outcome keys
+#: that occur and that never occur, and the names the CLI's tables accept.
+_TOKENS = ["nan", "inf", "-inf", "-0.0", "0", "1", "-1", "0.6", "0.8", "1e-14", "-1e-14",
+           "1e308", "", "abc", "U1,00,00", "U2,10,10", "U1,00,01", "U3,00,00", "averaged",
+           "all", "bit_flip,all", "bit_flip,phase_damping", "inside", "outside",
+           *(k.value for k in NoiseKind), *cli._MODELS, *cli._SCOPES, *cli._STRATEGIES]
+#: The options whose value sets an amount of work draw small values or invalid ones.
+_COUNTS = {"--samples", "--trials", "--decoys", "--env-dim", "--steps"}
+#: A valid command line of each kind, which the drawn options then override.
+_BASES = {
+    "run": [["--alpha=0.6", "--beta=0.8", "--seed=1"],
+            ["--alpha=1", "--beta=0", "--force-outcome=U2,11,11"]],
+    "sweep": [["--alpha=0.6", "--beta=0.8", "--noise=bit_flip", "--steps=2"]],
+    "security": [["--mode=inside", "--samples=3"], ["--mode=outside", "--trials=10"]],
+}
+_OUT_NAMES = ["s.csv", "s.svg", "s", "", "dir", "no-dir/s.csv", "chart-dir.csv"]
+
+
+def _option_argv(action):
+    flag = action.option_strings[-1]
+    if action.nargs == 0:
+        return st.just([flag])
+    own = ["1", "2", "3"] if flag in _COUNTS else list(action.choices or [])
+    return st.sampled_from(own + _TOKENS).map(lambda value: [f"{flag}={value}"])
+
+
+def _command_argv(command):
+    options = st.one_of(*(_option_argv(a) for a in _subcommands()[command]._actions
+                          if a.option_strings and a.dest not in ("help", "out")))
+    return st.tuples(st.sampled_from(_BASES[command]), st.lists(options, max_size=4)).map(
+        lambda drawn: [command, *drawn[0], *(arg for option in drawn[1] for arg in option)])
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "dir").mkdir()
+    (tmp / "chart-dir.svg").mkdir()
+    return tmp
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=st.one_of(*(_command_argv(c) for c in _BASES)), out=st.sampled_from(_OUT_NAMES))
+def test_any_command_line_exits_with_a_documented_code(fuzz_dir, argv, out):
+    # options drawn from the parser's own, so new flags join the fuzz; a sweep writes
+    # under fuzz_dir, and stdout holds output only when the command succeeds
+    if argv[0] == "sweep":
+        argv = [*argv, f"--out={fuzz_dir / out}" if out else f"--out={fuzz_dir}/"]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4), argv
+    if code >= 2:
+        assert stdout.getvalue() == "" and stderr.getvalue(), argv
+
+
 # --------------------------------------------------------------------------
 # sweep
 
@@ -259,7 +320,7 @@ def test_sweep_branch_with_error_marker(tmp_path, capsys):
     assert out_csv.read_text() == sweep_csv_text(config)
 
 
-def test_sweep_cell_prints_a_vanishing_fidelity_without_sign():
+def test_sweep_cell_prints_a_vanishing_fidelity_without_sign(tmp_path, capsys):
     # bit-phase flip at eta = 1 on a forced branch can leave -1e-17; next to
     # an impossible cell, under a label with commas, with no truncated column
     config = SweepConfig(kinds=(NoiseKind.BIT_PHASE_FLIP,), target=TargetState(0.6, 0.8),
@@ -276,16 +337,34 @@ def test_sweep_cell_prints_a_vanishing_fidelity_without_sign():
                      for cell in ["0.000000000000"] * 3 + ["impossible-branch"])
     assert out.getvalue() == want.getvalue()
 
+    # target components and an eta grid that end on a value rounding to zero from below
+    out_csv = tmp_path / "zero.csv"
+    code, _, err = run_cli(["sweep", "--alpha=1e-14", "--beta=-1", "--alpha-im=-0.0",
+                            "--beta-im=-1e-14", "--noise", "bit_flip", "--steps", "2",
+                            "--eta-start=-0.0", "--eta-end=-0.0", "--out", str(out_csv)], capsys)
+    assert (code, err) == (0, "")
+    zero = "0.000000000000"
+    row = ["bit_flip", zero, zero, zero, "-1.000000000000", zero, "averaged", "1.000000000000",
+           "1.000000000000"]
+    assert list(csv.reader(out_csv.open())) == [list(cli.CSV_HEADER), row, row]
+
 
 def test_sweep_unwritable_path(tmp_path, capsys, monkeypatch):
     def no_grid(config):
         raise AssertionError("the grid was computed before the path was checked")
 
     monkeypatch.setattr(cli.analysis, "fidelity_sweep", no_grid)
-    code, _, err = run_cli(["sweep", "--alpha", "1", "--beta", "0",
-                            "--out", str(tmp_path / "missing-dir" / "x.csv")], capsys)
-    assert code == 4
-    assert "cannot write" in err
+    missing = tmp_path / "missing-dir" / "x.csv"
+    chart = tmp_path / "x.svg"
+    chart.mkdir()
+    for out, code, message in [
+        ([str(missing)], 4, f"cannot write {missing}: "),
+        ([str(tmp_path / "x.csv"), "--svg"], 4, f"cannot write {chart}: "),  # chart path a directory
+        ([str(chart), "--svg"], 2, f"--svg would write its chart over the CSV {chart}; "),
+    ]:
+        got, stdout, err = run_cli(["sweep", "--alpha", "1", "--beta", "0", "--out", *out], capsys)
+        assert (got, stdout) == (code, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_sweep_steps_limit(tmp_path, capsys, monkeypatch):
@@ -435,8 +514,7 @@ def test_config_file_unknown_choice(tmp_path, capsys, command, line, message):
 
 
 def test_parser_choices_are_the_choice_tables():
-    commands = next(a for a in cli.build_parser()._actions
-                    if isinstance(a, argparse._SubParsersAction)).choices
+    commands = _subcommands()
     choices = {a.dest: a.choices for name in ("sweep", "security")
                for a in commands[name]._actions}
     assert choices["model"] == list(cli._MODELS)
