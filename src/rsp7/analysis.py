@@ -557,11 +557,11 @@ def discrepancy_report() -> tuple[DiscrepancyEntry, ...]:
         DiscrepancyEntry(
             subject="amplitude-damping truncation terminal term",
             printed=(
-                f"eta^7 on |{ad.printed_pattern}> "
+                "eta^7 on |1111111> "
                 f"(residual {ad.residual_printed:.6f} at eta={ad.eta})"
             ),
             computed=(
-                f"uniform-index construction gives eta^7/32 on |{ad.derived_pattern}> "
+                "uniform-index construction gives eta^7/32 on |0000000> "
                 f"(residual {ad.residual_derived:.3e})"
             ),
             residual=ad.residual_printed,

@@ -17,7 +17,7 @@ import math
 import os
 import re
 import sys
-from typing import Callable, Collection, Optional, Sequence, TextIO
+from typing import Collection, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -191,39 +191,43 @@ def load_config_file(path: str, known: Collection[str]) -> dict[str, str]:
     return values
 
 
-def _long_flag_names(parser: argparse.ArgumentParser) -> set[str]:
-    """Every ``--name`` option of the parser and its subcommands, without --."""
-    names = set()
+def _long_flag_names(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """Every ``--name`` option of the parser and its subcommands, without --,
+    to its declaration."""
+    names = {}
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for sub in action.choices.values():
                 names |= _long_flag_names(sub)
         elif not isinstance(action, argparse._HelpAction):
-            names.update(s[2:] for s in action.option_strings if s.startswith("--"))
+            names.update((s[2:], action) for s in action.option_strings if s.startswith("--"))
     return names
 
 
 class _Options:
-    """Flag values merged over config-file values merged over defaults."""
+    """Flag values merged over config-file values merged over defaults; a
+    config value is parsed as the parser declares its flag."""
 
-    def __init__(self, ns: argparse.Namespace, file_values: dict[str, str]):
+    def __init__(self, ns: argparse.Namespace, file_values: dict[str, str],
+                 flags: dict[str, argparse.Action]):
         self._ns = ns
         self._file = file_values
+        self._flags = flags
 
-    def get(self, key: str, cast: Callable, default=None):
+    def get(self, key: str, default=None):
         flag = getattr(self._ns, key.replace("-", "_"), None)
         if flag is not None:
             return flag
         if key in self._file:
-            raw = self._file[key]
+            raw, action = self._file[key], self._flags[key]
             try:
-                if cast is bool:
+                if action.nargs == 0:
                     if raw.lower() in ("1", "true", "yes", "on"):
                         return True
                     if raw.lower() in ("0", "false", "no", "off"):
                         return False
                     raise ValueError(raw)
-                return cast(raw)
+                return (action.type or str)(raw)
             except ValueError as e:
                 raise UsageError(f"config value {key}={raw!r} is invalid") from e
         return default
@@ -238,7 +242,7 @@ _STRATEGIES = {s.value: s for s in OutsideStrategy}
 
 def _choice(opts: _Options, key: str, table: dict, default: str):
     """The value ``table`` holds under the name option ``key`` gives."""
-    text = opts.get(key, str, default)
+    text = opts.get(key, default)
     try:
         return table[text]
     except KeyError:
@@ -249,12 +253,12 @@ _TARGET_NORM_SLACK = 1e-6
 
 
 def _resolve_target(opts: _Options) -> TargetState:
-    a_re = opts.get("alpha", float)
-    b_re = opts.get("beta", float)
+    a_re = opts.get("alpha")
+    b_re = opts.get("beta")
     if a_re is None or b_re is None:
         raise UsageError("a target requires --alpha and --beta")
-    alpha = complex(a_re, opts.get("alpha-im", float, 0.0))
-    beta = complex(b_re, opts.get("beta-im", float, 0.0))
+    alpha = complex(a_re, opts.get("alpha-im", 0.0))
+    beta = complex(b_re, opts.get("beta-im", 0.0))
     if not all(math.isfinite(x) for x in (alpha.real, alpha.imag, beta.real, beta.imag)):
         raise UsageError(f"amplitudes must be finite, got alpha={alpha}, beta={beta}")
     try:
@@ -304,8 +308,8 @@ def _valid_seed(seed: Optional[int]) -> Optional[int]:
 
 def _cmd_run(opts: _Options, stdout: TextIO) -> int:
     target = _resolve_target(opts)
-    seed = opts.get("seed", int)
-    forced_text = opts.get("force-outcome", str)
+    seed = opts.get("seed")
+    forced_text = opts.get("force-outcome")
     if (seed is None) == (forced_text is None):
         raise UsageError("provide exactly one of --seed or --force-outcome")
     forced = None if forced_text is None else _parse_forced_key(forced_text)
@@ -334,19 +338,19 @@ def _parse_kinds(text: str) -> tuple[NoiseKind, ...]:
 
 def _cmd_sweep(opts: _Options, stdout: TextIO) -> int:
     target = _resolve_target(opts)
-    kinds = _parse_kinds(opts.get("noise", str, "all"))
-    branch_text = opts.get("branch", str, "averaged")
+    kinds = _parse_kinds(opts.get("noise", "all"))
+    branch_text = opts.get("branch", "averaged")
     branch = None if branch_text == "averaged" else _parse_forced_key(branch_text)
     models = _choice(opts, "model", _MODELS, "both")
     qubits = _choice(opts, "scope", _SCOPES, "all")
-    svg = opts.get("svg", bool, False)
+    svg = opts.get("svg", False)
     try:
         config = SweepConfig(
             kinds=kinds,
             target=target,
-            eta_start=opts.get("eta-start", float, 0.0),
-            eta_end=opts.get("eta-end", float, 1.0),
-            eta_steps=opts.get("steps", int, 11),
+            eta_start=opts.get("eta-start", 0.0),
+            eta_end=opts.get("eta-end", 1.0),
+            eta_steps=opts.get("steps", 11),
             models=models,
             branch=branch,
             qubits=qubits,
@@ -354,9 +358,9 @@ def _cmd_sweep(opts: _Options, stdout: TextIO) -> int:
     except ValueError as e:
         raise UsageError(str(e)) from e
 
-    path = opts.get("out", str)
+    path = opts.get("out")
     if path is None:
-        base = opts.get("output-dir", str) or os.environ.get(OUTPUT_DIR_ENV) or "."
+        base = opts.get("output-dir") or os.environ.get(OUTPUT_DIR_ENV) or "."
         path = os.path.join(base, "sweep.csv")
     outputs = [(path, write_sweep_csv, f"wrote {len(config.kinds) * config.eta_steps} rows to {path}")]
     if svg:
@@ -406,12 +410,10 @@ def _cmd_verify(opts: _Options, stdout: TextIO) -> int:
 #: Largest attack environment: ``inside_attack`` builds the (2d) x (2d) attacker state.
 MAX_ENV_DIM = 1024
 
-#: Largest --samples of the inside attack: it holds one 8-byte purity per sample.
-MAX_INSIDE_SAMPLES = 10**7
-
 #: Largest --samples x --env-dim, which bounds the inside attack's time: a sample
 #: takes 3-4 us at env-dim 2 and 0.4-0.5 ms at env-dim 1024 on a 2-CPU machine,
-#: so the largest accepted runs take 8-45 s there.
+#: so the largest accepted runs take 8-45 s there.  As --env-dim is at least 2,
+#: it also bounds --samples, and so the attack's 8-byte purity per sample, at 10**7.
 MAX_INSIDE_WORK = 2 * 10**7
 
 #: Largest --trials x --decoys: the chunked outside attack peaks near 2 MB; the cap takes 1-2 s on 2 CPUs.
@@ -419,22 +421,20 @@ MAX_DECOY_DRAWS = 10**8
 
 
 def _cmd_security(opts: _Options, stdout: TextIO) -> int:
-    mode = opts.get("mode", str)
+    mode = opts.get("mode")
     if mode == "inside":
-        seed = opts.get("seed", int, 0)
-        env_dim = opts.get("env-dim", int, 2)
+        seed = opts.get("seed", 0)
+        env_dim = opts.get("env-dim", 2)
         if not 2 <= env_dim <= MAX_ENV_DIM:
             raise UsageError(f"--env-dim must lie in [2, {MAX_ENV_DIM}]")
-        samples = opts.get("samples", int, 100)
+        samples = opts.get("samples", 100)
         if samples < 1:
             raise UsageError("--samples must be at least 1")
-        if samples > MAX_INSIDE_SAMPLES:
-            raise UsageError(f"--samples must be at most {MAX_INSIDE_SAMPLES}")
         if samples * env_dim > MAX_INSIDE_WORK:
             raise UsageError(f"--samples x --env-dim must be at most {MAX_INSIDE_WORK}")
         _valid_seed(seed)
         key = protocol.OutcomeKey(1, "00", "00")
-        if opts.get("trivial", bool, False):
+        if opts.get("trivial", False):
             res = analysis.inside_attack(analysis.BALANCED_TARGET, key,
                                          analysis.AttackParams.trivial(env_dim))
             alt = analysis.inside_attack(TargetState(0.6, 0.8), key,
@@ -459,9 +459,9 @@ def _cmd_security(opts: _Options, stdout: TextIO) -> int:
               file=stdout)
         return EXIT_OK if mixed else 1
     if mode == "outside":
-        decoys = opts.get("decoys", int, 10)
-        trials = opts.get("trials", int, 10000)
-        seed = opts.get("seed", int, 0)
+        decoys = opts.get("decoys", 10)
+        trials = opts.get("trials", 10000)
+        seed = opts.get("seed", 0)
         strategy = _choice(opts, "strategy", _STRATEGIES, "intercept_resend")
         if decoys < 1:
             raise UsageError("--decoys must be at least 1")
@@ -498,10 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="flat key=value file; flags override it")
-        p.add_argument("--output-dir",
-                       help=f"directory for outputs (default: ${OUTPUT_DIR_ENV} or .)")
+    config_help = "flat key=value file; flags override it"
 
     def add_target(p):
         p.add_argument("--alpha", type=float, help="real part of alpha")
@@ -510,14 +507,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta-im", type=float, help="imaginary part of beta")
 
     p_run = sub.add_parser("run", help="run one protocol round")
-    add_common(p_run)
+    p_run.add_argument("--config", help=config_help)
     add_target(p_run)
     p_run.add_argument("--seed", type=int, help="sample the measurement branch")
     p_run.add_argument("--force-outcome", metavar="U1,cc,dd",
                        help="force a specific outcome key")
 
     p_sweep = sub.add_parser("sweep", help="fidelity sweep to CSV")
-    add_common(p_sweep)
+    p_sweep.add_argument("--config", help=config_help)
+    p_sweep.add_argument("--output-dir",
+                         help=f"directory for outputs (default: ${OUTPUT_DIR_ENV} or .)")
     add_target(p_sweep)
     p_sweep.add_argument("--noise", help="noise kind, comma list, or 'all'")
     p_sweep.add_argument("--eta-start", type=float)
@@ -531,11 +530,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--svg", action="store_const", const=True,
                          help="also write a line chart next to the CSV")
 
-    p_verify = sub.add_parser("verify", help="run the invariant suites")
-    add_common(p_verify)
+    sub.add_parser("verify", help="run the invariant suites")
 
     p_sec = sub.add_parser("security", help="attack simulations")
-    add_common(p_sec)
+    p_sec.add_argument("--config", help=config_help)
     p_sec.add_argument("--mode", choices=["inside", "outside"])
     p_sec.add_argument("--samples", type=int, help="inside: sampled attack maps")
     p_sec.add_argument("--env-dim", type=int, help="inside: environment dimension")
@@ -563,10 +561,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        file_values = (
-            load_config_file(ns.config, _long_flag_names(parser)) if ns.config else {}
-        )
-        opts = _Options(ns, file_values)
+        # a config file may name any command's flag; only this command reads it
+        config = getattr(ns, "config", None)
+        flags = _long_flag_names(parser) if config else {}
+        opts = _Options(ns, load_config_file(config, flags) if config else {}, flags)
         return _COMMANDS[ns.command](opts, sys.stdout)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -369,8 +369,6 @@ class TerminalTermCheck:
     """Truncated amplitude-damping eta^7 term vs. the printed closed form."""
 
     eta: float
-    derived_pattern: str
-    printed_pattern: str
     residual_derived: float
     residual_printed: float
 
@@ -395,8 +393,6 @@ def damping_terminal_term(eta: float = 0.5) -> TerminalTermCheck:
     printed = (eta ** 7) * ones
     return TerminalTermCheck(
         eta=float(eta),
-        derived_pattern="0000000",
-        printed_pattern="1111111",
         residual_derived=float(np.linalg.norm(term - derived)),
         residual_printed=float(np.linalg.norm(term - printed)),
     )

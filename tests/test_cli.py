@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import csv
 import importlib.util
@@ -149,8 +150,8 @@ OVERFLOW_MESSAGE = "|alpha|^2 + |beta|^2 = inf; amplitudes must be normalized to
                  id="inside-negative-seed"),
     pytest.param(["security", "--mode", "outside", "--seed", "-1", "--trials", "10"], 2,
                  SEED_MESSAGE, id="outside-negative-seed"),
-    pytest.param(["security", "--mode", "inside", "--samples", str(cli.MAX_INSIDE_SAMPLES + 1)],
-                 2, "--samples must be at most 10000000", id="inside-samples-cap"),
+    pytest.param(["security", "--mode", "inside", "--samples", str(cli.MAX_INSIDE_WORK // 2 + 1)],
+                 2, "--samples x --env-dim must be at most 20000000", id="inside-samples-cap"),
     pytest.param(["security", "--mode", "inside", "--trivial", "--seed", "-1"], 2, SEED_MESSAGE,
                  id="inside-trivial-negative-seed"),
     pytest.param(["security", "--mode", "inside", "--trivial", "--samples", "0"], 2,
@@ -201,9 +202,52 @@ def test_argparse_failures_return_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--alpha", "0.6", "--beta", "0.8", "--seed", "1", "--output-dir", "d"],
+    ["security", "--mode", "outside", "--trials", "10", "--output-dir", "d"],
+    ["verify", "--output-dir", "d"],
+    ["verify", "--config", "f"],
+])
+def test_options_a_command_never_reads_are_rejected(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err
+
+
 def _subcommands():
     return next(a for a in cli.build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _options_read(functions, name):
+    """The option names function ``name`` of cli.py reads, itself or through the
+    helpers it hands ``opts`` to; a key that is not a literal fails ``literal_eval``."""
+    names = set()
+    for node in ast.walk(functions[name]):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = ast.unparse(node.func)
+        if callee == "opts.get":
+            names.add(ast.literal_eval(node.args[0]))
+        elif callee == "_choice":
+            names.add(ast.literal_eval(node.args[1]))
+        elif callee in functions and any(ast.unparse(arg) == "opts" for arg in node.args):
+            names |= _options_read(functions, callee)
+    return names
+
+
+def test_each_command_declares_exactly_the_options_it_reads():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    declared_types = {}
+    for command, parser in _subcommands().items():
+        declared = cli._long_flag_names(parser)
+        read = _options_read(functions, cli._COMMANDS[command].__name__)
+        assert set(declared) == read | ({"config"} if read else set()), command
+        # a config value is parsed by the type of its flag, so a shared flag has one type
+        for name, action in declared.items():
+            assert declared_types.setdefault(name, (action.type, action.nargs)) == (
+                action.type, action.nargs), name
 
 
 #: Values the fuzz below gives any option: numbers at the edges, non-numbers, outcome keys
@@ -697,12 +741,12 @@ def test_security_env_dim_limit(capsys, monkeypatch):
 
 def test_security_inside_samples_limit(capsys, monkeypatch):
     def sampler(key, env_dim, samples, rng):
-        assert samples == cli.MAX_INSIDE_SAMPLES
+        assert samples == cli.MAX_INSIDE_WORK // 2
         return np.array([0.5]), 0.0
 
     monkeypatch.setattr(cli.analysis, "sample_inside_attacks", sampler)
     code, out, err = run_cli(["security", "--mode", "inside", "--samples",
-                              str(cli.MAX_INSIDE_SAMPLES)], capsys)
+                              str(cli.MAX_INSIDE_WORK // 2)], capsys)
     assert (code, err) == (0, "")
     assert out.startswith("attack: sampled entangling maps (n=10000000, env_dim=2, seed=0)")
 
